@@ -46,7 +46,6 @@ void ThreadPool::drain(Job& job) {
       std::lock_guard lk(job.err_mu);
       if (!job.first_error) job.first_error = std::current_exception();
     }
-    job.done_chunks.fetch_add(1, std::memory_order_release);
   }
   inside_pool_job = false;
 }
@@ -63,16 +62,14 @@ void ThreadPool::worker_loop() {
       if (stop_) return;
       job = job_;
       seen_generation = job_generation_;
+      ++holders_;
     }
     drain(*job);
-    // The caller owns job completion (it counts done_chunks); workers just
-    // go back to sleep until the next generation.
+    // The job lives in the caller's frame: the caller may not return until
+    // this worker has let go of it, even when every chunk is already done.
     {
       std::lock_guard lk(mu_);
-      if (job_ == job && job->done_chunks.load(std::memory_order_acquire) ==
-                             job->chunks) {
-        done_cv_.notify_all();
-      }
+      if (--holders_ == 0) done_cv_.notify_all();
     }
   }
 }
@@ -111,14 +108,15 @@ void ThreadPool::parallel_for(
   }
   cv_.notify_all();
 
-  // The caller helps: claim chunks alongside the workers, then wait for the
-  // stragglers.
+  // The caller helps: claim chunks alongside the workers, then wait for
+  // every worker that took the job to leave it. Once this drain returns,
+  // every chunk is claimed, and a worker finishes its chunks before it lets
+  // go, so no holders means every chunk is done. Clearing job_ under the
+  // same lock keeps any later worker from taking it.
   drain(job);
   {
     std::unique_lock lk(mu_);
-    done_cv_.wait(lk, [&] {
-      return job.done_chunks.load(std::memory_order_acquire) == job.chunks;
-    });
+    done_cv_.wait(lk, [&] { return holders_ == 0; });
     job_ = nullptr;
   }
   if (job.first_error) std::rethrow_exception(job.first_error);

@@ -6,8 +6,9 @@
 //
 // parallel_for runs on a no-allocation fork-join path: the caller publishes
 // one borrowed job descriptor, workers (and the caller itself) claim chunk
-// indices from an atomic cursor, and completion is a single counter — no
-// per-chunk std::function allocations, no task queue churn. Grain-size
+// indices from an atomic cursor, and completion is a count of the workers
+// still holding the job — no per-chunk std::function allocations, no task
+// queue churn. Grain-size
 // control caps how finely a range is split so small-n stages stop paying
 // dispatch overhead for chunks not worth a wake-up.
 #pragma once
@@ -59,8 +60,9 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
-  /// One fork-join job: chunk geometry plus claim/completion cursors. The
-  /// callable is borrowed from the caller's frame, which outlives the job.
+  /// One fork-join job: chunk geometry plus the claim cursor. The job and
+  /// its callable live in the caller's frame, so parallel_for returns only
+  /// once no worker holds the job (holders_).
   struct Job {
     const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
     std::size_t n = 0;
@@ -68,7 +70,6 @@ class ThreadPool {
     std::size_t base = 0;   // chunk c covers base items (+1 for c < extra)
     std::size_t extra = 0;
     std::atomic<std::size_t> next_chunk{0};
-    std::atomic<std::size_t> done_chunks{0};
     std::exception_ptr first_error;
     std::mutex err_mu;
   };
@@ -80,9 +81,10 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;       // workers: new job or stop
-  std::condition_variable done_cv_;  // caller: all chunks done
+  std::condition_variable done_cv_;  // caller: no worker holds the job
   Job* job_ = nullptr;               // guarded by mu_
   std::uint64_t job_generation_ = 0; // guarded by mu_
+  std::size_t holders_ = 0;          // workers inside job_; guarded by mu_
   bool stop_ = false;
 };
 

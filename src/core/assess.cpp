@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "stats/distributions.hpp"
@@ -28,6 +29,31 @@ double histogram_calinski_harabasz(
     global_center[j] = stats::percentile_bin(dim_hists[j].counts(), 50.0);
   }
 
+  // Per (dimension, primary): its bin range, the mode bin inside it (the
+  // centroid) and its mass, found once rather than once per cell.
+  struct Primary {
+    std::size_t begin = 0, end = 0, mode = 0;
+    double mass = 0.0;
+  };
+  std::vector<std::vector<Primary>> primaries(dims);
+  for (std::size_t j = 0; j < dims; ++j) {
+    const auto counts = dim_hists[j].counts();
+    primaries[j].resize(partitions[j].primary_count());
+    for (std::size_t p = 0; p < primaries[j].size(); ++p) {
+      auto& pr = primaries[j][p];
+      std::tie(pr.begin, pr.end) = partitions[j].range_of(p);
+      pr.mode = pr.begin;
+      double mode_density = pr.begin < pr.end ? counts[pr.begin] : 0.0;
+      for (std::size_t b = pr.begin; b < pr.end; ++b) {
+        pr.mass += counts[b];
+        if (counts[b] > mode_density) {
+          mode_density = counts[b];
+          pr.mode = b;
+        }
+      }
+    }
+  }
+
   double w_q = 0.0, b_q = 0.0;
   std::vector<std::vector<std::size_t>> centroids;
   centroids.reserve(q_count);
@@ -35,32 +61,24 @@ double histogram_calinski_harabasz(
     KB2_CHECK_MSG(cell.coord.size() == dims, "cell arity mismatch");
     std::vector<std::size_t> centroid(dims, 0);
     for (std::size_t j = 0; j < dims; ++j) {
-      const auto [begin, end] = partitions[j].range_of(cell.coord[j]);
+      KB2_CHECK_MSG(cell.coord[j] < primaries[j].size(),
+                    "primary " << cell.coord[j] << " out of "
+                               << primaries[j].size());
+      const auto& pr = primaries[j][cell.coord[j]];
       const auto counts = dim_hists[j].counts();
+      centroid[j] = pr.mode;
 
-      // Centroid: the mode bin inside the primary cluster's range.
-      std::size_t mode = begin;
-      double mode_density = counts[begin];
-      double range_mass = 0.0;
-      for (std::size_t b = begin; b < end; ++b) {
-        range_mass += counts[b];
-        if (counts[b] > mode_density) {
-          mode_density = counts[b];
-          mode = b;
-        }
-      }
-      centroid[j] = mode;
-
-      // Within-cluster dispersion over this dimension's range.
-      for (std::size_t b = begin; b < end; ++b) {
-        const double d = static_cast<double>(b) - static_cast<double>(mode);
+      // Within-cluster dispersion over this dimension's range, summed per
+      // bin in cell order.
+      for (std::size_t b = pr.begin; b < pr.end; ++b) {
+        const double d = static_cast<double>(b) - static_cast<double>(pr.mode);
         w_q += d * d * counts[b];
       }
 
       // Between-cluster dispersion against the global centre.
-      const double dc = static_cast<double>(mode) -
+      const double dc = static_cast<double>(pr.mode) -
                         static_cast<double>(global_center[j]);
-      b_q += dc * dc * range_mass;
+      b_q += dc * dc * pr.mass;
     }
     centroids.push_back(std::move(centroid));
   }

@@ -39,18 +39,17 @@ DimensionPartition partition_discrete_opt(std::span<const double> counts,
   const double peak = *std::max_element(smoothed.begin(), smoothed.end());
   if (peak <= 0.0) return out;
 
-  const auto slope = stats::local_linear_slope(smoothed, w);
-  const auto curvature = stats::first_difference(slope);
-
   const double prominence = min_prominence * peak;
   const auto modes = stats::prominent_maxima(smoothed, prominence);
 
+  // The regression and its inflections are diagnostics: no cut reads them,
+  // so only a trace pays for them.
   if (trace) {
     trace->smoothed = smoothed;
-    trace->slope = slope;
-    trace->curvature = curvature;
+    trace->slope = stats::local_linear_slope(smoothed, w);
+    trace->curvature = stats::first_difference(trace->slope);
     trace->modes = modes;
-    trace->inflections = stats::sign_changes(curvature);
+    trace->inflections = stats::sign_changes(trace->curvature);
   }
 
   // One cut per pair of consecutive modes, at the lowest smoothed density

@@ -4,13 +4,16 @@
 // bin ranges separated by cuts. KeyBin2 finds the cuts by non-parametric
 // discrete optimization entirely in histogram space:
 //   1. smooth the merged histogram with a moving average (window = sqrt(B)),
-//   2. local linear regression per window -> slope (first derivative),
-//   3. difference of slopes -> inflection points (regions of sudden change),
-//   4. modes = prominent maxima of the smoothed density; one cut at the
+//   2. modes = prominent maxima of the smoothed density; one cut at the
 //      density minimum between each pair of consecutive modes.
 // This maximizes inter-cluster separation (cuts sit at the lowest density
 // between modes) while minimizing intra-cluster spread (every mode keeps its
 // full basin), with no density threshold to tune.
+//
+// The paper's windowed local linear regression (slope, first derivative)
+// and the inflection points of its first difference are diagnostics: no cut
+// depends on them, so they are computed only into a PartitionTrace, which
+// only tests and the Figure 2 bench read.
 //
 // The KeyBin-v1 heuristic (dense runs above a fixed fraction of the peak) is
 // kept for the ablation benches.
@@ -42,7 +45,8 @@ struct DimensionPartition {
 };
 
 /// Diagnostic trace of the discrete optimization (exposed for tests and the
-/// Figure 2 bench).
+/// Figure 2 bench). Passing one is what makes the partitioner compute the
+/// slope, curvature and inflections; the cuts are the same either way.
 struct PartitionTrace {
   std::vector<double> smoothed;
   std::vector<double> slope;        // local-regression first derivative

@@ -6,7 +6,9 @@
 // derivative), (3) differencing slopes to locate inflection points, and
 // (4) cutting at density minima between modes. This replaces the v1 density
 // threshold and is the "discrete optimization" of the paper — all operations
-// live in histogram space, independent of the number of data points.
+// live in histogram space, independent of the number of data points. The
+// cuts need only (1) and (4); core's partitioner computes (2) and (3) only
+// for a diagnostic trace.
 #pragma once
 
 #include <cstddef>

@@ -72,6 +72,27 @@ TEST(DiscreteOpt, TraceExposesOptimizationInternals) {
   EXPECT_FALSE(trace.inflections.empty());
 }
 
+TEST(DiscreteOpt, TraceDoesNotChangeCuts) {
+  // The regression and inflections are diagnostics: asking for them must
+  // leave the cuts alone at every depth the sweep visits.
+  for (int depth = 3; depth <= 12; ++depth) {
+    const std::size_t bins = std::size_t{1} << depth;
+    const auto counts = binned_mixture({0.12, 0.3, 0.55, 0.8}, 0.04, bins,
+                                       40 + static_cast<std::uint64_t>(depth));
+    for (const auto smoothing : {Smoothing::kMovingAverage,
+                                 Smoothing::kKernelDensity}) {
+      PartitionTrace trace;
+      const auto traced =
+          partition_discrete_opt(counts, 0.05, &trace, smoothing);
+      const auto plain =
+          partition_discrete_opt(counts, 0.05, nullptr, smoothing);
+      EXPECT_EQ(traced.cuts, plain.cuts) << "depth " << depth;
+      EXPECT_EQ(traced.bins, plain.bins);
+      EXPECT_EQ(trace.slope.size(), bins);
+    }
+  }
+}
+
 TEST(DiscreteOpt, ProminenceThresholdControlsSensitivity) {
   // A small shoulder next to a big mode: high prominence ignores it.
   const auto base = binned_mixture({0.4}, 0.06, 64, 7, 8000);

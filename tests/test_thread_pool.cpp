@@ -131,6 +131,43 @@ TEST(ThreadPool, BackToBackLoopsProduceStableResults) {
   }
 }
 
+TEST(ThreadPool, CallerOutlivesEveryWorkerThatTookItsJob) {
+  // A worker that took the job can be descheduled before it claims a chunk,
+  // while the caller drains every chunk itself. parallel_for must not return
+  // (ending the frame that holds the job) until that worker has let go.
+  // Busy threads oversubscribe the cores so late workers are common; two
+  // callers keep the job slot busy. Under ASan with
+  // detect_stack_use_after_return=1, any touch of a returned frame aborts.
+  ThreadPool pool(4);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> busy;
+  for (int i = 0; i < 8; ++i) {
+    busy.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  std::atomic<int> wrong{0};
+  const auto caller = [&] {
+    for (int round = 0; round < 200000; ++round) {
+      int slots[4] = {-1, -1, -1, -1};  // stack-local state the chunks write
+      pool.parallel_for(4, /*grain=*/1, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) slots[i] = round;
+      });
+      for (const int v : slots) {
+        if (v != round) wrong.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(caller);
+  std::thread b(caller);
+  a.join();
+  b.join();
+  stop.store(true);
+  for (auto& t : busy) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 class ThreadPoolShapes
     : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
 

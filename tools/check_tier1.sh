@@ -4,7 +4,7 @@
 #   tools/check_tier1.sh           # full suite (what CI runs)
 #   tools/check_tier1.sh --quick   # skip suites labelled `slow` (ctest -LE slow)
 #   tools/check_tier1.sh --tsan    # ThreadSanitizer build, comm/fault suites only
-#   tools/check_tier1.sh --asan    # AddressSanitizer build, comm/fault suites only
+#   tools/check_tier1.sh --asan    # AddressSanitizer build, full suite
 #   tools/check_tier1.sh --trace-smoke
 #                                  # build, then run an instrumented 4-rank
 #                                  # cluster and gate on the observability
@@ -86,9 +86,13 @@
 #                                  # fails
 #
 # The sanitizer modes build into their own directories (build-tsan/build-asan)
-# so they never dirty the primary build, and run only the `comm`-labelled
-# suites (thread_comm, fault injection, resilience soak) — the lock-heavy code
-# where a sanitizer earns its ~10x slowdown.
+# so they never dirty the primary build. TSan runs only the `comm`-labelled
+# suites (thread_comm, fault injection, resilience soak) — the lock-heavy
+# code where it earns its ~10x slowdown. ASan runs the whole suite, with
+# ASAN_OPTIONS=detect_stack_use_after_return=1 unless the caller set
+# ASAN_OPTIONS: a frame touched after its function returned (a thread-pool
+# job, a borrowed buffer) is exactly what the rest of the suite cannot see,
+# and every parser of external bytes runs under it.
 #
 # Extra arguments after the flags are forwarded to ctest.
 set -euo pipefail
@@ -133,7 +137,7 @@ if [[ "${sanitize}" == "thread" ]]; then
 elif [[ "${sanitize}" == "address" ]]; then
   build_dir="${BUILD_DIR:-${repo_root}/build-asan}"
   cmake_args+=(-DKB2_SANITIZE=address)
-  ctest_args+=(-L comm)
+  export ASAN_OPTIONS="${ASAN_OPTIONS-detect_stack_use_after_return=1}"
 fi
 
 cmake -B "${build_dir}" -S "${repo_root}" "${cmake_args[@]}"
