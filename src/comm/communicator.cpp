@@ -386,9 +386,11 @@ void Communicator::recv_reduce_block(int src, int tag, std::span<double> into,
     recv_block_scratch_.resize(n);
     // Payload layout here is [u8 mode][u64 n][n doubles]; memcpy because the
     // doubles sit at offset 9 and are not suitably aligned for a direct view.
-    std::memcpy(recv_block_scratch_.data(),
-                bytes.data() + sizeof(std::uint8_t) + sizeof(std::uint64_t),
-                n * sizeof(double));
+    if (n > 0) {
+      std::memcpy(recv_block_scratch_.data(),
+                  bytes.data() + sizeof(std::uint8_t) + sizeof(std::uint64_t),
+                  n * sizeof(double));
+    }
     if (combine) {
       apply_op_span(into, recv_block_scratch_, op);
     } else {

@@ -105,7 +105,7 @@ class ByteReader {
                   "ByteReader: vector length " << n << " exceeds remaining "
                                                << remaining() << " bytes");
     std::vector<T> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    if (n > 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }

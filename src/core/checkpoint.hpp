@@ -45,8 +45,10 @@ class CheckpointError final : public Error {
 /// "KB2CKPT" packed little-endian into a u64 (high byte zero).
 inline constexpr std::uint64_t kCheckpointMagic = 0x0054504b43324b42ULL;
 
-/// Bumped whenever the container layout (not the payload schema) changes.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Bumped whenever the container layout or a payload schema changes, so an
+/// older file fails as "version_skew" instead of being misparsed. Version 2:
+/// the streaming engine writes one projected reservoir per trial.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Container header size in bytes: magic + version + payload_size + crc.
 inline constexpr std::size_t kCheckpointHeaderBytes = 8 + 4 + 8 + 4;

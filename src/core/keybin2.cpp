@@ -1,7 +1,9 @@
 #include "core/keybin2.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 
@@ -46,8 +48,20 @@ FitResult fit_once(runtime::Context& ctx, const Matrix& local_points,
                         << " dims, group agreed on " << global_dims);
   KB2_CHECK_MSG(global_dims >= 1, "dataset has no dimensions");
 
-  const double total_points = comm.allreduce(
-      static_cast<double>(local_points.rows()), comm::ReduceOp::kSum);
+  // The point-count reduction also carries each rank's count of non-finite
+  // values, so every rank sees the same total and throws the same error:
+  // none is left waiting in a later collective, and no message is added.
+  const auto flat = local_points.flat();
+  const auto local_nonfinite = std::count_if(
+      flat.begin(), flat.end(), [](double v) { return !std::isfinite(v); });
+  const std::array<double, 2> local_counts = {
+      static_cast<double>(local_points.rows()),
+      static_cast<double>(local_nonfinite)};
+  const auto counts = comm.allreduce(local_counts, comm::ReduceOp::kSum);
+  const double total_points = counts[0];
+  KB2_CHECK_MSG(counts[1] == 0.0, "dataset holds "
+                                      << counts[1]
+                                      << " NaN or infinite values");
   KB2_CHECK_MSG(total_points > 0.0, "dataset has no points");
 
   const bool is_root = ctx.is_root();

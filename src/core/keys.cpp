@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -12,6 +13,7 @@ std::uint32_t key_of(double x, const Range& range, int d_max) {
   KB2_CHECK_MSG(d_max >= 1 && d_max <= 24, "d_max " << d_max
                                                     << " out of [1, 24]");
   KB2_CHECK_MSG(range.hi > range.lo, "empty key range");
+  KB2_CHECK_MSG(!std::isnan(x), "cannot key a NaN value");
   const auto bins = std::uint32_t{1} << static_cast<unsigned>(d_max);
   if (x <= range.lo) return 0;
   if (x >= range.hi) return bins - 1;

@@ -27,7 +27,8 @@ struct Range {
 };
 
 /// Deepest-level bin index of value x over `range` at depth d_max
-/// (2^d_max bins); out-of-range values clamp to the edge bins.
+/// (2^d_max bins); out-of-range values, infinities included, clamp to the
+/// edge bins. Throws keybin2::Error on NaN.
 std::uint32_t key_of(double x, const Range& range, int d_max);
 
 /// Coarsen a deepest-level key to `depth` (depth <= d_max).

@@ -24,11 +24,11 @@ StreamingKeyBin2::StreamingKeyBin2(std::size_t input_dims, Params params,
                 ? (params.n_rp > 0 ? params.n_rp : choose_n_rp(input_dims))
                 : static_cast<int>(input_dims)),
       reservoir_capacity_(reservoir_capacity),
-      reservoir_(0, input_dims),
       reservoir_rng_(params.seed ^ 0x5eedbeefULL) {
   KB2_CHECK_MSG(input_dims >= 1, "stream schema needs >= 1 dimension");
   KB2_CHECK_MSG(reservoir_capacity >= 16,
                 "reservoir capacity " << reservoir_capacity << " too small");
+  KB2_CHECK_MSG(params_.bootstrap_trials >= 1, "need at least one trial");
   const int trials = params_.use_projection ? params_.bootstrap_trials : 1;
   Rng seed_stream(params_.seed);
   trials_.resize(static_cast<std::size_t>(trials));
@@ -43,8 +43,11 @@ StreamingKeyBin2::StreamingKeyBin2(std::size_t input_dims, Params params,
                          std::numeric_limits<double>::infinity());
     trial.seen_hi.assign(static_cast<std::size_t>(n_rp_),
                          -std::numeric_limits<double>::infinity());
+    trial.reservoir = Matrix(0, static_cast<std::size_t>(n_rp_));
   }
-  scratch_.resize(static_cast<std::size_t>(n_rp_));
+  if (params_.use_projection) {
+    scratch_.resize(trials_.size() * static_cast<std::size_t>(n_rp_));
+  }
 }
 
 void StreamingKeyBin2::ingest(TrialState& trial,
@@ -73,23 +76,45 @@ void StreamingKeyBin2::push(std::span<const double> point) {
   KB2_CHECK_MSG(point.size() == input_dims_,
                 "point has " << point.size() << " dims, stream expects "
                              << input_dims_);
-  for (auto& trial : trials_) {
-    if (params_.use_projection) {
-      project_point(point, trial.projection, scratch_);
-      ingest(trial, scratch_);
-    } else {
-      ingest(trial, point);
+  // A non-finite value would never stop doubling a histogram's range (inf)
+  // or has no bin at all (NaN). Every check runs before any state changes,
+  // so a rejected point leaves the engine as it was.
+  for (std::size_t i = 0; i < point.size(); ++i) {
+    KB2_CHECK_MSG(std::isfinite(point[i]), "point value " << point[i]
+                                               << " in dimension " << i
+                                               << " is not finite");
+  }
+  const auto dims = static_cast<std::size_t>(n_rp_);
+  if (params_.use_projection) {
+    for (std::size_t t = 0; t < trials_.size(); ++t) {
+      project_point(point, trials_[t].projection,
+                    std::span<double>(scratch_).subspan(t * dims, dims));
     }
+    KB2_CHECK_MSG(std::ranges::all_of(
+                      scratch_, [](double v) { return std::isfinite(v); }),
+                  "point projects outside the double range");
   }
 
-  // Reservoir sampling (algorithm R) over the raw points.
-  if (reservoir_.rows() < reservoir_capacity_) {
-    reservoir_.append_row(point);
-  } else {
-    const auto slot = reservoir_rng_.uniform_int(points_seen_ + 1);
-    if (slot < reservoir_capacity_) {
-      auto row = reservoir_.row(static_cast<std::size_t>(slot));
-      std::copy(point.begin(), point.end(), row.begin());
+  // Reservoir sampling (algorithm R): one draw per point picks the slot
+  // that every trial's reservoir fills or overwrites.
+  const std::size_t rows = trials_.front().reservoir.rows();
+  const bool append = rows < reservoir_capacity_;
+  const std::uint64_t slot =
+      append ? rows : reservoir_rng_.uniform_int(points_seen_ + 1);
+
+  for (std::size_t t = 0; t < trials_.size(); ++t) {
+    auto& trial = trials_[t];
+    const std::span<const double> projected =
+        params_.use_projection
+            ? std::span<const double>(scratch_).subspan(t * dims, dims)
+            : point;
+    ingest(trial, projected);
+    if (append) {
+      trial.reservoir.append_row(projected);
+    } else if (slot < reservoir_capacity_) {
+      std::ranges::copy(projected,
+                        trial.reservoir.row(static_cast<std::size_t>(slot))
+                            .begin());
     }
   }
   ++points_seen_;
@@ -105,11 +130,11 @@ const Model& StreamingKeyBin2::refit_once(runtime::Context& ctx) {
   const double total_points = ctx.comm().allreduce(
       static_cast<double>(points_seen_), comm::ReduceOp::kSum);
   KB2_CHECK_MSG(total_points > 0.0, "refit before any point was pushed");
+  const std::size_t sample_rows = trials_.front().reservoir.rows();
   const double local_weight =
-      reservoir_.rows() > 0
-          ? static_cast<double>(points_seen_) /
-                static_cast<double>(reservoir_.rows())
-          : 0.0;
+      sample_rows > 0 ? static_cast<double>(points_seen_) /
+                            static_cast<double>(sample_rows)
+                      : 0.0;
 
   struct Best {
     double score = -1.0;
@@ -171,14 +196,12 @@ const Model& StreamingKeyBin2::refit_once(runtime::Context& ctx) {
       continue;
     }
 
-    // Reservoir keys under this trial's projection and the merged ranges.
+    // Reservoir keys under the merged ranges; push() already projected
+    // the rows into this trial's space.
     KeyTable keys;
     {
       auto keys_scope = ctx.tracer().scope(stage::kReservoirKeys);
-      Matrix projected_reservoir =
-          params_.use_projection ? project(reservoir_, trial.projection)
-                                 : reservoir_;
-      keys = compute_keys(projected_reservoir, ranges, params_.max_depth);
+      keys = compute_keys(trial.reservoir, ranges, params_.max_depth);
     }
 
     // (4) + (6) Partition every depth candidate and rate it; the root
@@ -315,11 +338,11 @@ void StreamingKeyBin2::serialize(ByteWriter& w) const {
       w.write<std::int32_t>(h.max_depth());
       w.write_span(h.deepest_counts());
     }
+    w.write<std::uint64_t>(trial.reservoir.rows());
+    w.write<std::uint64_t>(trial.reservoir.cols());
+    w.write_span(trial.reservoir.flat());
   }
 
-  w.write<std::uint64_t>(reservoir_.rows());
-  w.write<std::uint64_t>(reservoir_.cols());
-  w.write_span(reservoir_.flat());
   // RNG state field by field — serializing the State struct wholesale would
   // embed padding bytes, which poisons the checkpoint CRC with garbage.
   const Rng::State rng_state = reservoir_rng_.state();
@@ -357,7 +380,8 @@ void StreamingKeyBin2::restore(ByteReader& r) {
                                     << trials_.size());
   points_seen_ = r.read<std::uint64_t>();
 
-  for (auto& trial : trials_) {
+  for (std::size_t t = 0; t < trials_.size(); ++t) {
+    auto& trial = trials_[t];
     const auto prows = r.read<std::uint64_t>();
     const auto pcols = r.read<std::uint64_t>();
     auto pdata = r.read_vec<double>();
@@ -398,20 +422,27 @@ void StreamingKeyBin2::restore(ByteReader& r) {
         trial.hists.push_back(std::move(h));
       }
     }
-  }
 
-  const auto rrows = r.read<std::uint64_t>();
-  const auto rcols = r.read<std::uint64_t>();
-  auto rdata = r.read_vec<double>();
-  KB2_CHECK_MSG(rcols == input_dims_,
-                "checkpoint reservoir has " << rcols << " columns, engine has "
-                                            << input_dims_);
-  KB2_CHECK_MSG(rrows <= reservoir_capacity_,
-                "checkpoint reservoir holds " << rrows
-                                              << " rows, engine capacity is "
-                                              << reservoir_capacity_);
-  reservoir_ = Matrix(static_cast<std::size_t>(rrows),
-                      static_cast<std::size_t>(rcols), std::move(rdata));
+    const auto rrows = r.read<std::uint64_t>();
+    const auto rcols = r.read<std::uint64_t>();
+    auto rdata = r.read_vec<double>();
+    KB2_CHECK_MSG(rcols == static_cast<std::uint64_t>(n_rp_),
+                  "checkpoint reservoir has " << rcols
+                                              << " columns, engine has "
+                                              << n_rp_);
+    KB2_CHECK_MSG(rrows <= reservoir_capacity_,
+                  "checkpoint reservoir holds "
+                      << rrows << " rows, engine capacity is "
+                      << reservoir_capacity_);
+    KB2_CHECK_MSG(t == 0 || rrows == trials_.front().reservoir.rows(),
+                  "checkpoint trial " << t << " reservoir holds " << rrows
+                                      << " rows, trial 0 holds "
+                                      << trials_.front().reservoir.rows());
+    // The Matrix constructor rejects a length other than rows * cols.
+    trial.reservoir = Matrix(static_cast<std::size_t>(rrows),
+                             static_cast<std::size_t>(rcols),
+                             std::move(rdata));
+  }
 
   Rng::State rng_state;
   for (auto& s : rng_state.s) s = r.read<std::uint64_t>();

@@ -14,6 +14,13 @@
 // reservoir sample, scaled to the stream's total mass; the points themselves
 // may be discarded, matching the paper's "the point can be either discarded
 // or sent to secondary storage awaiting its final clustering assignment".
+//
+// The reservoir lives in each trial, already in that trial's projected space
+// (identity trials hold the raw rows): push() stores the projection it
+// computes for the histograms anyway, so a refit keys the sample directly
+// instead of re-projecting raw rows. One algorithm-R draw per point picks
+// the slot for every trial, so all trials hold the same sample. Memory is
+// trials * n_rp * capacity doubles.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +49,8 @@ class StreamingKeyBin2 {
   std::uint64_t points_seen() const { return points_seen_; }
 
   /// Ingest one point (O(trials * n_rp * d_max), no allocation on the steady
-  /// path).
+  /// path). Throws keybin2::Error, leaving the engine unchanged, when a
+  /// value is NaN or infinite or projects outside the double range.
   void push(std::span<const double> point);
 
   /// Ingest a batch of rows.
@@ -77,10 +85,10 @@ class StreamingKeyBin2 {
   // ---- Checkpoint/restart (DESIGN.md §4b) ----
   //
   // serialize() captures the engine EXACTLY — doubling histograms, seen
-  // envelopes, reservoir contents, the reservoir RNG's internal state, the
-  // model if any — so a deserialized engine continues the identical point
-  // stream bit-for-bit: a killed-then-resumed run reproduces an
-  // uninterrupted run's model fingerprint.
+  // envelopes, each trial's projected reservoir, the reservoir RNG's
+  // internal state, the model if any — so a deserialized engine continues
+  // the identical point stream bit-for-bit: a killed-then-resumed run
+  // reproduces an uninterrupted run's model fingerprint.
 
   /// Append the full engine state to `w`.
   void serialize(ByteWriter& w) const;
@@ -109,6 +117,10 @@ class StreamingKeyBin2 {
     // reconciles all ranks onto the global envelope (the doubling ranges of
     // the histograms overshoot and would waste bin resolution).
     std::vector<double> seen_lo, seen_hi;
+    // Reservoir sample (algorithm R) for cell-density estimates, as rows in
+    // this trial's projected space (n_rp columns, at most the engine's
+    // capacity rows). Every trial holds the same points in the same slots.
+    Matrix reservoir;
   };
 
   void ingest(TrialState& trial, std::span<const double> projected);
@@ -120,13 +132,11 @@ class StreamingKeyBin2 {
   std::vector<TrialState> trials_;
   std::uint64_t points_seen_ = 0;
 
-  // Reservoir sample (algorithm R) of raw points for cell-density estimates.
   std::size_t reservoir_capacity_;
-  Matrix reservoir_;
-  Rng reservoir_rng_;
+  Rng reservoir_rng_;  // one slot draw per point, shared by every trial
 
   std::optional<Model> model_;
-  std::vector<double> scratch_;  // projected-point buffer
+  std::vector<double> scratch_;  // trials x n_rp projected-point buffer
 };
 
 }  // namespace keybin2::core

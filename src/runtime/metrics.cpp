@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "common/serialize.hpp"
@@ -38,6 +39,14 @@ int bucket_index(std::int64_t ns) {
   return std::bit_width(static_cast<std::uint64_t>(ns)) - 1;
 }
 
+// Both terms are non-negative; a sum past INT64_MAX saturates there.
+std::int64_t saturating_add(std::int64_t a, std::int64_t b) {
+  std::int64_t sum = 0;
+  return __builtin_add_overflow(a, b, &sum)
+             ? std::numeric_limits<std::int64_t>::max()
+             : sum;
+}
+
 }  // namespace
 
 void LatencyHistogram::record(std::int64_t ns) {
@@ -45,7 +54,7 @@ void LatencyHistogram::record(std::int64_t ns) {
   ++buckets_[static_cast<std::size_t>(bucket_index(ns))];
   if (count_ == 0 || ns < min_ns_) min_ns_ = ns;
   if (ns > max_ns_) max_ns_ = ns;
-  sum_ns_ += ns;
+  sum_ns_ = saturating_add(sum_ns_, ns);
   ++count_;
 }
 
@@ -54,7 +63,7 @@ void LatencyHistogram::merge(const LatencyHistogram& o) {
   for (int i = 0; i < kBuckets; ++i) buckets_[i] += o.buckets_[i];
   if (count_ == 0 || o.min_ns_ < min_ns_) min_ns_ = o.min_ns_;
   max_ns_ = std::max(max_ns_, o.max_ns_);
-  sum_ns_ += o.sum_ns_;
+  sum_ns_ = saturating_add(sum_ns_, o.sum_ns_);
   count_ += o.count_;
 }
 

@@ -11,7 +11,8 @@
 //     open/close); readers copy the buffer and retry/drop on a torn read.
 //     This is the same publish-after-copy discipline as the ProcComm ring
 //     heads: bump the sequence odd, write the payload, bump it even with
-//     release ordering.
+//     release ordering. The payload itself is relaxed atomics, so a reader
+//     racing the writer sees torn data (and drops it), never a data race.
 //   * SampleTable — open-addressing hash table of (stage path -> hit
 //     count) with a single designated writer (the signal handler or the
 //     hub thread). record() never allocates, never locks, and degrades to
@@ -46,9 +47,11 @@ class StageCursor {
     seq_.store(seq_.load(std::memory_order_relaxed) + 1,
                std::memory_order_release);  // odd: write in progress
     std::atomic_thread_fence(std::memory_order_release);
-    len_ = static_cast<std::uint32_t>(path.size());
-    std::memcpy(path_, path.data(), path.size());
-    path_[path.size()] = '\0';
+    len_.store(static_cast<std::uint32_t>(path.size()),
+               std::memory_order_relaxed);
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      path_[i].store(path[i], std::memory_order_relaxed);
+    }
     std::atomic_thread_fence(std::memory_order_release);
     seq_.store(seq_.load(std::memory_order_relaxed) + 1,
                std::memory_order_release);  // even: stable
@@ -62,9 +65,11 @@ class StageCursor {
     const std::uint32_t s1 = seq_.load(std::memory_order_acquire);
     if ((s1 & 1u) != 0) return false;
     std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint32_t n = len_;
+    const std::uint32_t n = len_.load(std::memory_order_relaxed);
     if (n > kMaxPath - 1) return false;  // torn length
-    std::memcpy(out, path_, n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      out[i] = path_[i].load(std::memory_order_relaxed);
+    }
     out[n] = '\0';
     std::atomic_thread_fence(std::memory_order_acquire);
     if (seq_.load(std::memory_order_acquire) != s1) return false;
@@ -74,8 +79,8 @@ class StageCursor {
 
  private:
   std::atomic<std::uint32_t> seq_{0};
-  std::uint32_t len_ = 0;
-  char path_[kMaxPath] = {};
+  std::atomic<std::uint32_t> len_{0};
+  std::atomic<char> path_[kMaxPath] = {};
 };
 
 /// Fixed-size open-addressing (path -> sample count) table with one

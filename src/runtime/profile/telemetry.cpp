@@ -1,5 +1,6 @@
 #include "runtime/profile/telemetry.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -16,6 +17,9 @@
 namespace keybin2::runtime::profile {
 
 namespace {
+
+// The slot array starts right after the header.
+static_assert(sizeof(TelemetryHeader) % alignof(TelemetrySlot) == 0);
 
 std::size_t segment_len(int n_ranks) {
   return sizeof(TelemetryHeader) +
@@ -60,7 +64,7 @@ void fill_slot(TelemetrySlot* slot, const TelemetryPublisher::Update& u,
   if (stage.size() > TelemetrySlot::kMaxStage - 1) {
     stage.remove_prefix(stage.size() - (TelemetrySlot::kMaxStage - 1));
   }
-  std::memcpy(slot->stage, stage.data(), stage.size());
+  std::copy(stage.begin(), stage.end(), slot->stage);
   slot->stage[stage.size()] = '\0';
 }
 
@@ -128,7 +132,7 @@ TelemetrySegment::TelemetrySegment(std::string name, int n_ranks,
   }
   // Stays linked — that is the attach surface for kb2_top.
   auto* hdr = new (base_) TelemetryHeader();
-  hdr->version = 2;
+  hdr->version = TelemetryHeader::kVersion;
   hdr->n_ranks = static_cast<std::uint32_t>(n_ranks);
   hdr->creator_pid = static_cast<std::int32_t>(::getpid());
   hdr->created_ns = now_ns();
@@ -170,7 +174,8 @@ std::unique_ptr<TelemetryReader> TelemetryReader::attach(
   TelemetryHeader hdr = {};
   const ssize_t n = ::read(fd, &hdr, sizeof(hdr));
   if (n != static_cast<ssize_t>(sizeof(hdr)) ||
-      hdr.magic != TelemetryHeader::kMagic || hdr.version != 2 ||
+      hdr.magic != TelemetryHeader::kMagic ||
+      hdr.version != TelemetryHeader::kVersion ||
       hdr.n_ranks == 0 || hdr.n_ranks > 4096) {
     ::close(fd);
     if (error != nullptr) *error = norm + " is not a telemetry segment";

@@ -61,8 +61,11 @@ struct alignas(256) TelemetrySlot {
   char stage[kMaxStage] = {};     // current scope path (tail-truncated)
 };
 
-struct TelemetryHeader {
+// Aligned like the slots, so the slot array that follows it starts on a
+// 256-byte boundary.
+struct alignas(256) TelemetryHeader {
   static constexpr std::uint64_t kMagic = 0x4b42325445'4c4531ull;  // "KB2TELE1"
+  static constexpr std::uint32_t kVersion = 3;  // bumped on layout changes
   std::uint64_t magic = 0;
   std::uint32_t version = 0;
   std::uint32_t n_ranks = 0;

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -209,24 +210,171 @@ TEST(StreamingCheckpoint, ResumedEngineContinuesTheStreamBitForBit) {
   // Feed half the stream, checkpoint, then feed the second half into both
   // the original and the resumed engine: every divergence — histogram
   // doubling, reservoir RNG draws, envelope tracking — would show up in the
-  // final serialized bytes.
+  // final serialized bytes. The 64-row reservoir is already replacing rows
+  // when the checkpoint lands; the 4096-row one is still filling.
   const auto d = stream_data(1200, 6);
   testutil::TempPaths tmp;
-  const std::string path = tmp.make("kb2_ckpt_stream", ".bin");
 
-  StreamingKeyBin2 original(6);
-  for (std::size_t i = 0; i < 600; ++i) original.push(d.points.row(i));
-  original.save_checkpoint(path);
-  auto resumed = StreamingKeyBin2::resume_from(path);
+  for (const std::size_t capacity : {std::size_t{4096}, std::size_t{64}}) {
+    const std::string path =
+        tmp.make("kb2_ckpt_stream" + std::to_string(capacity), ".bin");
+    StreamingKeyBin2 original(6, Params{}, capacity);
+    for (std::size_t i = 0; i < 600; ++i) original.push(d.points.row(i));
+    original.save_checkpoint(path);
+    auto resumed = StreamingKeyBin2::resume_from(path, Params{}, capacity);
 
-  for (std::size_t i = 600; i < 1200; ++i) {
-    original.push(d.points.row(i));
-    resumed.push(d.points.row(i));
+    for (std::size_t i = 600; i < 1200; ++i) {
+      original.push(d.points.row(i));
+      resumed.push(d.points.row(i));
+    }
+    original.refit();
+    resumed.refit();
+    EXPECT_EQ(engine_bytes(resumed), engine_bytes(original)) << capacity;
+    EXPECT_EQ(model_bytes(resumed.model()), model_bytes(original.model()))
+        << capacity;
   }
-  original.refit();
-  resumed.refit();
-  EXPECT_EQ(engine_bytes(resumed), engine_bytes(original));
-  EXPECT_EQ(model_bytes(resumed.model()), model_bytes(original.model()));
+}
+
+// One trial's reservoir block in the version-2 engine payload.
+struct ReservoirBlock {
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  std::vector<double> values;
+};
+
+template <typename T>
+void copy_value(ByteReader& r, ByteWriter& w) {
+  w.write<T>(r.read<T>());
+}
+
+template <typename T>
+void copy_vec(ByteReader& r, ByteWriter& w) {
+  w.write_vec(r.read_vec<T>());
+}
+
+// Re-encode serialized engine state, passing each trial's reservoir block
+// through `edit`. Walks the layout StreamingKeyBin2::serialize writes:
+// header, then per trial the projection, anchors, envelope, histograms and
+// reservoir, then the RNG state and model, copied verbatim.
+std::vector<std::byte> edit_reservoirs(
+    const std::vector<std::byte>& bytes,
+    const std::function<void(std::size_t, ReservoirBlock&)>& edit) {
+  ByteReader r(bytes);
+  ByteWriter w;
+  copy_value<std::uint64_t>(r, w);  // input_dims
+  copy_value<std::int32_t>(r, w);   // n_rp
+  copy_value<std::int32_t>(r, w);   // max_depth
+  copy_value<std::uint64_t>(r, w);  // seed
+  const auto trials = r.read<std::uint64_t>();
+  w.write<std::uint64_t>(trials);
+  copy_value<std::uint64_t>(r, w);  // points_seen
+  for (std::size_t t = 0; t < trials; ++t) {
+    copy_value<std::uint64_t>(r, w);  // projection rows
+    copy_value<std::uint64_t>(r, w);  // projection cols
+    copy_vec<double>(r, w);
+    const auto dims = r.read<std::uint64_t>();
+    w.write<std::uint64_t>(dims);
+    for (std::uint64_t j = 0; j < dims; ++j) copy_value<std::uint8_t>(r, w);
+    copy_vec<double>(r, w);  // seen_lo
+    copy_vec<double>(r, w);  // seen_hi
+    const auto hists = r.read<std::uint64_t>();
+    w.write<std::uint64_t>(hists);
+    for (std::uint64_t j = 0; j < hists; ++j) {
+      copy_value<double>(r, w);        // lo
+      copy_value<double>(r, w);        // hi
+      copy_value<std::int32_t>(r, w);  // depth
+      copy_vec<double>(r, w);          // deepest counts
+    }
+    ReservoirBlock block;
+    block.rows = r.read<std::uint64_t>();
+    block.cols = r.read<std::uint64_t>();
+    block.values = r.read_vec<double>();
+    edit(t, block);
+    w.write<std::uint64_t>(block.rows);
+    w.write<std::uint64_t>(block.cols);
+    w.write_vec(block.values);
+  }
+  auto out = w.take();
+  const auto tail = static_cast<std::ptrdiff_t>(r.remaining());
+  out.insert(out.end(), bytes.end() - tail, bytes.end());
+  return out;
+}
+
+std::string restore_error(StreamingKeyBin2& engine,
+                          const std::vector<std::byte>& bytes) {
+  ByteReader r(bytes);
+  try {
+    engine.restore(r);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StreamingCheckpoint, RestoreRejectsMalformedReservoirBlocks) {
+  // 200 points into a 64-row reservoir: every trial's block is full and
+  // replacement has begun.
+  StreamingKeyBin2 a(6, Params{}, 64);
+  a.push_batch(stream_data(200, 8).points);
+  const auto bytes = engine_bytes(a);
+  std::uint64_t trial0_rows = 0;
+  const auto unchanged =
+      edit_reservoirs(bytes, [&](std::size_t t, ReservoirBlock& b) {
+        if (t == 0) trial0_rows = b.rows;
+      });
+  ASSERT_EQ(unchanged, bytes);  // the walker mirrors the layout
+  ASSERT_EQ(trial0_rows, 64u);
+
+  const auto fails = [&](const std::vector<std::byte>& payload,
+                         std::size_t capacity, const std::string& why) {
+    StreamingKeyBin2 fresh(6, Params{}, capacity);
+    const auto error = restore_error(fresh, payload);
+    EXPECT_NE(error.find(why), std::string::npos)
+        << "expected '" << why << "', got '" << error << "'";
+  };
+  // Column count other than n_rp (the block keeps rows * cols values).
+  fails(edit_reservoirs(bytes,
+                        [](std::size_t t, ReservoirBlock& b) {
+                          if (t != 0) return;
+                          b.rows /= 2;
+                          b.cols *= 2;
+                        }),
+        64, "columns");
+  // More rows than the engine's capacity.
+  fails(bytes, 32, "capacity");
+  // A value count other than rows * cols.
+  fails(edit_reservoirs(bytes,
+                        [](std::size_t t, ReservoirBlock& b) {
+                          if (t == 0) b.values.push_back(0.0);
+                        }),
+        64, "storage size");
+  // Trials that disagree on how many rows the sample holds.
+  fails(edit_reservoirs(bytes,
+                        [](std::size_t t, ReservoirBlock& b) {
+                          if (t != 1) return;
+                          b.rows -= 1;
+                          b.values.resize(b.rows * b.cols);
+                        }),
+        64, "trial 0 holds");
+}
+
+TEST(StreamingCheckpoint, VersionOneFileFailsAsVersionSkew) {
+  // Version 1 wrote one raw reservoir after the trials; this build must
+  // refuse such a file rather than misread it.
+  testutil::TempPaths tmp;
+  const std::string path = tmp.make("kb2_ckpt_v1", ".bin");
+  StreamingKeyBin2 a(6);
+  a.push_batch(stream_data(50, 7).points);
+  a.save_checkpoint(path);
+  auto raw = slurp(path);
+  raw[8] = 1;  // version field follows the u64 magic
+  spit(path, raw);
+  try {
+    (void)StreamingKeyBin2::resume_from(path);
+    FAIL() << "a version-1 checkpoint was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.defect(), "version_skew");
+  }
 }
 
 TEST(StreamingCheckpoint, RestoreRejectsMismatchedDims) {

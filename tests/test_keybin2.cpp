@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "comm/launch.hpp"
 #include "common/error.hpp"
 #include "data/gaussian_mixture.hpp"
@@ -121,6 +125,48 @@ TEST(Fit, InvalidParamsThrow) {
   no_trials.bootstrap_trials = 0;
   EXPECT_THROW(fit(points, no_trials), Error);
   EXPECT_THROW(fit(Matrix(0, 3)), Error);  // no points at all
+}
+
+TEST(Fit, NonFiniteInputThrows) {
+  const auto d = data::sample(data::make_paper_mixture(4, 2, 5), 100, 6);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto points = d.points;
+    points(37, 2) = bad;
+    EXPECT_THROW(fit(points), Error) << bad;
+  }
+}
+
+TEST(Fit, NonFiniteValueOnOneRankThrowsOnEveryRank) {
+  // Only rank 2 holds the NaN. Every rank must throw the same error from
+  // the entry reduction; a rank that went on would block in the next
+  // collective until the timeout.
+  const auto d = data::sample(data::make_paper_mixture(4, 2, 5), 100, 6);
+  auto shards = data::shard(d, 4);
+  shards[2].points(3, 1) = std::numeric_limits<double>::quiet_NaN();
+  Params params;
+  params.comm_timeout_seconds = 10.0;
+  std::vector<std::string> errors(4);
+  comm::run_ranks(4, [&](comm::Communicator& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    try {
+      (void)fit(c, shards[r].points, params);
+    } catch (const Error& e) {
+      errors[r] = e.what();
+    }
+  });
+  EXPECT_NE(errors[0].find("1 NaN or infinite values"), std::string::npos)
+      << errors[0];
+  for (int r = 1; r < 4; ++r) EXPECT_EQ(errors[r], errors[0]) << "rank " << r;
+}
+
+TEST(Fit, PredictOfANaNPointThrows) {
+  const auto d = data::sample(data::make_paper_mixture(4, 2, 5), 400, 6);
+  const auto result = fit(d.points);
+  ASSERT_FALSE(result.model.kept_dims().empty());
+  std::vector<double> p(4, 0.0);
+  p[1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)result.model.predict(p), Error);
 }
 
 

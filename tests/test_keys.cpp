@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -21,6 +23,14 @@ TEST(KeyOf, ClampsOutOfRange) {
   EXPECT_EQ(key_of(5.0, r, 4), 15u);
   EXPECT_EQ(key_of(1.0, r, 4), 15u);
   EXPECT_EQ(key_of(0.0, r, 4), 0u);
+}
+
+TEST(KeyOf, InfinitiesClampAndNaNThrows) {
+  const Range r{0.0, 1.0};
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(key_of(-inf, r, 4), 0u);
+  EXPECT_EQ(key_of(inf, r, 4), 15u);
+  EXPECT_THROW(key_of(std::numeric_limits<double>::quiet_NaN(), r, 4), Error);
 }
 
 TEST(KeyOf, DepthValidation) {

@@ -237,9 +237,12 @@ TEST(LatencyHistogram, SaturatedTopBucketSurvivesMerge) {
   b.record((std::int64_t{1} << 62) + 1);  // same bucket, different value
   EXPECT_EQ(a.buckets()[62], 5u);
   EXPECT_EQ(b.buckets()[62], 8u);
+  // The running sum saturates at INT64_MAX instead of wrapping negative.
+  EXPECT_DOUBLE_EQ(a.mean_ns(), static_cast<double>(kHuge) / 5.0);
 
   a.merge(b);
   EXPECT_EQ(a.count(), 13u);
+  EXPECT_DOUBLE_EQ(a.mean_ns(), static_cast<double>(kHuge) / 13.0);
   EXPECT_EQ(a.buckets()[62], 13u);
   EXPECT_EQ(a.max_ns(), kHuge);
   EXPECT_EQ(a.min_ns(), (std::int64_t{1} << 62) + 1);

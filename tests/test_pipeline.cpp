@@ -305,6 +305,17 @@ TEST(Equivalence, StreamingRefit) {
   EXPECT_EQ(label_hash(labels), 14068627742687595267ULL);
   EXPECT_DOUBLE_EQ(engine.model().score(), 4552.549041405231);
   EXPECT_EQ(engine.model().n_clusters(), 3);
+
+  // A reservoir the stream overflows almost ten times over: the cell
+  // densities come from algorithm R's replacement draws, not the first 256
+  // points.
+  StreamingKeyBin2 small(12, Params{}, /*reservoir_capacity=*/256);
+  small.push_batch(d.points);
+  small.refit();
+  const auto small_labels = small.model().predict(d.points);
+  EXPECT_EQ(label_hash(small_labels), 16980327592859048755ULL);
+  EXPECT_DOUBLE_EQ(small.model().score(), 5710.8145348127646);
+  EXPECT_EQ(small.model().n_clusters(), 4);
 }
 
 TEST(Equivalence, ContextFitMatchesConvenienceOverloads) {

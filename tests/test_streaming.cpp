@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+#include <limits>
+#include <vector>
+
 #include "comm/launch.hpp"
 #include "common/error.hpp"
+#include "common/serialize.hpp"
 #include "core/keybin2.hpp"
 #include "data/gaussian_mixture.hpp"
 #include "data/partition.hpp"
@@ -169,6 +175,56 @@ TEST(Streaming, SingleClusterStreamStaysSingle) {
 TEST(Streaming, ReservoirCapacityIsValidated) {
   EXPECT_THROW(StreamingKeyBin2(3, Params{}, 4), Error);
   EXPECT_THROW(StreamingKeyBin2(0), Error);
+}
+
+TEST(Streaming, ConstructorRejectsZeroTrials) {
+  Params no_trials;
+  no_trials.bootstrap_trials = 0;
+  EXPECT_THROW(StreamingKeyBin2(3, no_trials), Error);
+}
+
+std::vector<std::byte> engine_bytes(const StreamingKeyBin2& e) {
+  ByteWriter w;
+  e.serialize(w);
+  return {w.bytes().begin(), w.bytes().end()};
+}
+
+TEST(Streaming, PushRejectsNonFiniteValuesWithoutChangingState) {
+  const auto d = data::sample(data::make_paper_mixture(4, 2, 3), 20, 4);
+  for (const bool projected : {true, false}) {
+    Params params;
+    params.use_projection = projected;
+    StreamingKeyBin2 s(4, params);
+    s.push_batch(d.points);
+    const auto before = engine_bytes(s);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      const double p[] = {1.0, bad, 2.0, 3.0};
+      EXPECT_THROW(s.push(p), Error) << bad;
+      EXPECT_EQ(engine_bytes(s), before) << bad;
+    }
+    EXPECT_EQ(s.points_seen(), 20u);
+  }
+}
+
+TEST(Streaming, PushRejectsPointsThatProjectOutsideTheDoubleRange) {
+  // One trial projecting onto one unit-norm column (a0, a1): the point
+  // (max * sign(a0), max * sign(a1)) projects to max * (|a0| + |a1|), which
+  // overflows to infinity.
+  Params params;
+  params.bootstrap_trials = 1;
+  params.n_rp = 1;
+  StreamingKeyBin2 s(2, params);
+  s.push_batch(data::sample(data::make_paper_mixture(2, 2, 3), 50, 4).points);
+  s.refit();
+  const auto& a = s.model().projection();
+  ASSERT_EQ(a.rows(), 2u);
+  const double big = std::numeric_limits<double>::max();
+  const double p[] = {std::copysign(big, a(0, 0)), std::copysign(big, a(1, 0))};
+  const auto before = engine_bytes(s);
+  EXPECT_THROW(s.push(p), Error);
+  EXPECT_EQ(engine_bytes(s), before);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #   tools/check_tier1.sh --quick   # skip suites labelled `slow` (ctest -LE slow)
 #   tools/check_tier1.sh --tsan    # ThreadSanitizer build, comm/fault suites only
 #   tools/check_tier1.sh --asan    # AddressSanitizer build, full suite
+#   tools/check_tier1.sh --ubsan   # UndefinedBehaviorSanitizer build (with
+#                                  # float-cast-overflow), full suite
 #   tools/check_tier1.sh --trace-smoke
 #                                  # build, then run an instrumented 4-rank
 #                                  # cluster and gate on the observability
@@ -85,14 +87,16 @@
 #                                  # synthetic 2x slowdown (--scale-time 2)
 #                                  # fails
 #
-# The sanitizer modes build into their own directories (build-tsan/build-asan)
-# so they never dirty the primary build. TSan runs only the `comm`-labelled
-# suites (thread_comm, fault injection, resilience soak) — the lock-heavy
-# code where it earns its ~10x slowdown. ASan runs the whole suite, with
-# ASAN_OPTIONS=detect_stack_use_after_return=1 unless the caller set
-# ASAN_OPTIONS: a frame touched after its function returned (a thread-pool
-# job, a borrowed buffer) is exactly what the rest of the suite cannot see,
-# and every parser of external bytes runs under it.
+# The sanitizer modes build into their own directories
+# (build-tsan/build-asan/build-ubsan) so they never dirty the primary build.
+# TSan runs only the `comm`-labelled suites (thread_comm, fault injection,
+# resilience soak) — the lock-heavy code where it earns its ~10x slowdown.
+# ASan runs the whole suite, with ASAN_OPTIONS=detect_stack_use_after_return=1
+# unless the caller set ASAN_OPTIONS: a frame touched after its function
+# returned (a thread-pool job, a borrowed buffer) is exactly what the rest of
+# the suite cannot see, and every parser of external bytes runs under it.
+# UBSan runs the whole suite too; its build aborts on the first report, and
+# UBSAN_OPTIONS=print_stacktrace=1 (unless set) says where.
 #
 # Extra arguments after the flags are forwarded to ctest.
 set -euo pipefail
@@ -116,6 +120,7 @@ for arg in "$@"; do
     --quick) ctest_args+=(-LE slow) ;;
     --tsan) sanitize="thread" ;;
     --asan) sanitize="address" ;;
+    --ubsan) sanitize="undefined" ;;
     --trace-smoke) trace_smoke=1 ;;
     --bench-smoke) bench_smoke=1 ;;
     --analyze-smoke) analyze_smoke=1 ;;
@@ -138,6 +143,10 @@ elif [[ "${sanitize}" == "address" ]]; then
   build_dir="${BUILD_DIR:-${repo_root}/build-asan}"
   cmake_args+=(-DKB2_SANITIZE=address)
   export ASAN_OPTIONS="${ASAN_OPTIONS-detect_stack_use_after_return=1}"
+elif [[ "${sanitize}" == "undefined" ]]; then
+  build_dir="${BUILD_DIR:-${repo_root}/build-ubsan}"
+  cmake_args+=(-DKB2_SANITIZE=undefined)
+  export UBSAN_OPTIONS="${UBSAN_OPTIONS-print_stacktrace=1}"
 fi
 
 cmake -B "${build_dir}" -S "${repo_root}" "${cmake_args[@]}"
