@@ -532,13 +532,16 @@ class TeleResidueCheck final : public ::testing::EmptyTestEventListener {
     for (const char* parent : {"/dev/shm", "/tmp"}) {
       DIR* dir = ::opendir(parent);
       if (dir == nullptr) continue;
+      // Names end at the pid or continue with '-': a bare prefix match
+      // would also flag another pid's leftovers ("kb2-tele-2068" is a
+      // prefix of "kb2-tele-20687-rt").
       const std::string tele = "kb2-tele-" + pid;
       const std::string shm = "kb2-proc-" + pid + "-";
       const std::string spill = "kb2-spill-" + pid + "-";
       while (dirent* e = ::readdir(dir)) {
         const std::string name = e->d_name;
-        if (name.rfind(tele, 0) == 0 || name.rfind(shm, 0) == 0 ||
-            name.rfind(spill, 0) == 0) {
+        if (name == tele || name.rfind(tele + "-", 0) == 0 ||
+            name.rfind(shm, 0) == 0 || name.rfind(spill, 0) == 0) {
           found += std::string(parent) + "/" + name + " ";
         }
       }
