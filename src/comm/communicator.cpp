@@ -283,13 +283,9 @@ std::vector<std::uint64_t> Communicator::allreduce(
 std::vector<double> Communicator::allreduce(std::span<const double> local,
                                             ReduceOp op, AllreduceAlgo algo,
                                             ReduceProfile* profile) {
-  if (algo == AllreduceAlgo::kCoreset) {
-    return coreset_allreduce(local, coreset::Options{}, profile);
-  }
   bool halving = false;
   switch (algo) {
     case AllreduceAlgo::kTree:
-    case AllreduceAlgo::kCoreset:  // handled above
       break;
     case AllreduceAlgo::kRecursiveHalving:
       halving = size() > 1;
@@ -297,6 +293,9 @@ std::vector<double> Communicator::allreduce(std::span<const double> local,
     case AllreduceAlgo::kAuto:
       halving = size() > 1 && local.size() >= kRecursiveHalvingMinElements;
       break;
+    case AllreduceAlgo::kCoreset:
+      throw Error("allreduce: kCoreset is not selectable; call "
+                  "coreset_allreduce");
   }
   const std::uint64_t sent_before = stats().bytes_sent;
   std::vector<double> result;

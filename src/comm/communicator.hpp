@@ -97,8 +97,10 @@ enum class ReduceOp { kSum, kMin, kMax };
 /// 2·log p rounds shipping the full vector), large ones through the
 /// bandwidth-optimal Rabenseifner scheme (recursive-halving reduce-scatter +
 /// recursive-doubling allgather, which moves ~2·n/p elements per rank per
-/// round instead of n). kCoreset trades exactness for sublinear traffic:
-/// each hop ships a capped weighted sketch (comm/coreset.hpp), sum only.
+/// round instead of n). kCoreset is never selected here: it is the value
+/// ReduceProfile::algo reports after coreset_allreduce, which trades
+/// exactness for sublinear traffic (each hop ships a capped weighted
+/// sketch, comm/coreset.hpp, sum only).
 enum class AllreduceAlgo { kAuto, kTree, kRecursiveHalving, kCoreset };
 
 /// What one adaptive allreduce actually did, for metrics attribution.
@@ -327,7 +329,8 @@ class Communicator {
   /// dense (an absent sparse entry decodes as 0, which is only an identity
   /// for sum). Note recursive halving re-associates the sum, so floating
   /// results can differ from the tree by rounding; integer-valued payloads
-  /// (histogram counts) are exact under any order.
+  /// (histogram counts) are exact under any order. kCoreset throws
+  /// keybin2::Error: the sketching reduction is coreset_allreduce.
   std::vector<double> allreduce(std::span<const double> local, ReduceOp op,
                                 AllreduceAlgo algo,
                                 ReduceProfile* profile = nullptr);

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 
@@ -949,15 +950,18 @@ class MappedGroup {
     shared_.size = n;
 
     // Spill directory: tmpfs when available so oversized frames stay
-    // memory-speed, /tmp otherwise.
+    // memory-speed, /tmp otherwise. mkdtemp picks a fresh suffix, so a
+    // directory left by a killed run whose pid this process now reuses
+    // cannot block the group.
     struct stat st{};
     const char* parent_dir =
         (::stat("/dev/shm", &st) == 0 && S_ISDIR(st.st_mode)) ? "/dev/shm"
                                                               : "/tmp";
-    spill_dir_ = std::string(parent_dir) + "/kb2-spill-" +
-                 std::to_string(::getpid()) + "-" + name.substr(name.rfind('-') + 1);
-    KB2_CHECK_MSG(::mkdir(spill_dir_.c_str(), 0700) == 0,
-                  "ProcComm: cannot create spill dir " << spill_dir_);
+    std::string spill_template = std::string(parent_dir) + "/kb2-spill-" +
+                                 std::to_string(::getpid()) + "-XXXXXX";
+    KB2_CHECK_MSG(::mkdtemp(spill_template.data()) != nullptr,
+                  "ProcComm: cannot create spill dir " << spill_template);
+    spill_dir_ = std::move(spill_template);
     KB2_CHECK_MSG(spill_dir_.size() < sizeof(hdr->spill_dir),
                   "ProcComm: spill dir path too long");
     std::memcpy(hdr->spill_dir, spill_dir_.c_str(), spill_dir_.size() + 1);

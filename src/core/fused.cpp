@@ -673,7 +673,7 @@ std::vector<stats::HierarchicalHistogram> fused_key_bin(
 
   // Pairwise tree merge of the claimed shards. Disjoint targets per task, so
   // no locks; counts are integer-valued doubles, so any merge order sums
-  // exactly (bit-identical to the staged per-dimension scan).
+  // exactly (bit-identical to build_histograms' per-dimension scan).
   std::size_t used = std::min(cursor.load(), max_shards);
   if (used == 0) {
     ws.shards[0].assign(dims * bins, 0.0);

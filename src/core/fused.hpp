@@ -1,9 +1,9 @@
 // Fused project→key→bin data plane for the fit pipeline (DESIGN.md §4d).
 //
-// The staged reference path traverses the data four times: projection matmul,
-// per-dimension range scan, compute_keys, and build_histograms (which
-// re-reads the whole key table once per dimension, column-strided). The
-// fused plane collapses this to two passes:
+// The reference kernels traverse the data four times: projection matmul
+// (project), per-dimension range scan, compute_keys, and build_histograms
+// (which re-reads the whole key table once per dimension, column-strided).
+// The fused plane, the fit's only data path, collapses this to two passes:
 //
 //   Pass A  fused_project_envelope — project each point and fold it into the
 //           per-dimension min/max envelope in the same traversal. With an
@@ -18,9 +18,9 @@
 // BinScale structs-of-arrays once per trial, removing key_of's per-call
 // range checks and d_max shifts from the inner loop. The key computation
 // itself keeps the exact FP operation sequence of key_of —
-// t = (x-lo)/(hi-lo); b = uint32(t*2^d_max); clamp — so keys, histograms and
-// therefore the final model are bit-identical to the staged path (enforced
-// by the property tests in tests/test_fused.cpp). In particular the division
+// t = (x-lo)/(hi-lo); b = uint32(t*2^d_max); clamp — so keys and histograms
+// are bit-identical to the reference kernels (enforced by the property tests
+// in tests/test_fused.cpp). In particular the division
 // is NOT replaced by a multiply-with-reciprocal, which would change rounding.
 //
 // All scratch (projected matrix, key table, envelopes, shards) lives in a
@@ -93,16 +93,16 @@ struct FusedWorkspace {
 /// `dims` is the projected dimensionality every rank agreed on (an empty
 /// shard cannot derive it locally — its envelope must still have one
 /// +inf/-inf slot per dimension for the allreduce to line up). Fills
-/// ws.env_lo / ws.env_hi exactly like the staged range scan and returns the
-/// projected matrix — ws.projected, or `local_points` itself under identity
-/// (zero-copy).
+/// ws.env_lo / ws.env_hi exactly like a scan of `project`'s output and
+/// returns the projected matrix — ws.projected, or `local_points` itself
+/// under identity (zero-copy).
 const Matrix& fused_project_envelope(const Matrix& local_points,
                                      const Matrix& projection,
                                      std::size_t dims, FusedWorkspace& ws);
 
 /// Pass B: keys + all-dimension histograms in one traversal. Fills ws.keys
-/// and returns per-dimension hierarchies whose deepest counts equal the
-/// staged build_histograms output bit-for-bit.
+/// and returns per-dimension hierarchies whose deepest counts equal
+/// build_histograms(compute_keys(...)) bit-for-bit.
 std::vector<stats::HierarchicalHistogram> fused_key_bin(
     const Matrix& projected, const std::vector<Range>& ranges, int d_max,
     FusedWorkspace& ws);

@@ -99,9 +99,9 @@ FitResult fit_once(runtime::Context& ctx, const Matrix& local_points,
   // once the previous merge re-densified. All ranks derive it from the
   // identical merged vector, so the protocol choice never diverges.
   std::uint64_t merged_nnz = 0;
-  // Cross-trial scratch for the fused data plane (projected matrix, key
-  // table, envelopes, count shards): allocated by the first trial, reused
-  // verbatim by the rest.
+  // Cross-trial scratch for the data plane (projected matrix, key table,
+  // envelopes, count shards): allocated by the first trial, reused verbatim
+  // by the rest.
   FusedWorkspace ws;
 
   for (int t = 0; t < trials; ++t) {
@@ -109,44 +109,22 @@ FitResult fit_once(runtime::Context& ctx, const Matrix& local_points,
         ctx.tracer().scope(stage::trial(t));
     auto& trial_projection = projections[static_cast<std::size_t>(t)];
 
-    // Stages 1-2b produce the same artifacts on either path (identical
-    // trace scopes, bit-identical keys/histograms — tests/test_fused.cpp):
-    // the fused plane runs two traversals (project+envelope, key+bin), the
-    // staged reference runs the four classic ones.
-    std::vector<Range> ranges;
+    // (1) Project into a lower space, folding the range envelope into the
+    // same traversal.
+    const Matrix* projected;
+    {
+      auto scope = ctx.tracer().scope(stage::kProject);
+      projected = &fused_project_envelope(local_points, trial_projection,
+                                          static_cast<std::size_t>(n_rp), ws);
+    }
+    // (2a) Agree on per-dimension key ranges [r_min, r_max].
+    const auto ranges = stage_agree_ranges(ctx, ws.env_lo, ws.env_hi);
+    // (2b) Assign keys and build all local histograms in one pass.
     std::vector<stats::HierarchicalHistogram> hists;
-    const KeyTable* keys = nullptr;
-    ProjectedTrial staged;  // keeps the staged path's keys alive
-    BinnedTrial staged_binned;
-    if (params.use_fused_kernels) {
-      // (1) Project into a lower space, folding the range envelope into the
-      // same traversal.
-      const Matrix* projected;
-      {
-        auto scope = ctx.tracer().scope(stage::kProject);
-        projected = &fused_project_envelope(local_points, trial_projection,
-                                            static_cast<std::size_t>(n_rp), ws);
-      }
-      // (2a) Agree on per-dimension key ranges [r_min, r_max].
-      ranges = stage_agree_ranges(ctx, ws.env_lo, ws.env_hi);
-      // (2b) Assign keys and build all local histograms in one pass.
-      {
-        auto scope = ctx.tracer().scope(stage::kBin);
-        hists = fused_key_bin(*projected, ranges, params.max_depth, ws);
-        ctx.metrics().add("points_binned", projected->rows());
-      }
-      keys = &ws.keys;
-    } else {
-      // (1) Project into a lower space.
-      staged = stage_project(ctx, local_points, trial_projection);
-      // (2a) Agree on per-dimension key ranges [r_min, r_max].
-      ranges = stage_agree_ranges(ctx, staged.projected,
-                                  static_cast<std::size_t>(n_rp));
-      // (2b) Assign keys; build local histograms.
-      staged_binned =
-          stage_bin(ctx, staged.projected, ranges, params.max_depth);
-      hists = std::move(staged_binned.hists);
-      keys = &staged_binned.keys;
+    {
+      auto scope = ctx.tracer().scope(stage::kBin);
+      hists = fused_key_bin(*projected, ranges, params.max_depth, ws);
+      ctx.metrics().add("points_binned", projected->rows());
     }
 
     // (3) Communicate binning histograms. Batch-fit counts are integral
@@ -182,7 +160,7 @@ FitResult fit_once(runtime::Context& ctx, const Matrix& local_points,
     // combined candidate.
     for (const auto& depths : depth_candidates(hists, kept_dims, params)) {
       auto candidate = stage_partition(ctx, hists, kept_dims, depths, params);
-      auto assessed = stage_assess(ctx, *keys, kept_dims, candidate, params);
+      auto assessed = stage_assess(ctx, ws.keys, kept_dims, candidate, params);
 
       if (assessed.scored) {
         diagnostics.push_back(TrialDiagnostics{

@@ -22,17 +22,11 @@ enum class Smoothing {
   kKernelDensity,
 };
 
-/// How ranks exchange histograms. §3 step 3: the merge "does not
-/// necessarily have to be made to a central authority. The algorithm works
-/// as well for a ring topology."
-enum class Topology {
-  kTree,  // binomial-tree reduce + broadcast (MPI-style allreduce)
-  kRing,  // ring pass: each rank adds its histograms and forwards
-};
-
-/// How much of each rank's histogram content crosses the wire during the
-/// merge (DESIGN.md §9). Dense ships every bin; sparse lets the transport
-/// pick per-block dense/sparse encodings (bit-identical to dense); coreset
+/// How ranks exchange histograms during the merge (DESIGN.md §9). Dense
+/// ships every bin through the binomial tree; sparse lets the transport
+/// pick per-block dense/sparse encodings (bit-identical to dense); ring
+/// passes the histograms around the ranks with no central authority (§3
+/// step 3: "the algorithm works as well for a ring topology"); coreset
 /// ships a weighted, seeded sample of the occupied bins under a hard
 /// per-message size cap (`coreset_max_cells`) — sublinear traffic, bounded
 /// error. Auto starts on the sparse plane and switches to coreset once the
@@ -40,6 +34,7 @@ enum class Topology {
 enum class CommMode {
   kDense,
   kSparse,
+  kRing,
   kCoreset,
   kAuto,
 };
@@ -94,9 +89,6 @@ struct Params {
   /// usually suffice — nothing forces all dimensions to agree.
   bool per_dimension_depth = false;
 
-  /// Histogram-exchange topology (§3 step 3).
-  Topology topology = Topology::kTree;
-
   /// Histogram-merge communication mode (DESIGN.md §9). kAuto is
   /// conservative: it reproduces the sparse plane bit-for-bit unless the
   /// previous trial's merged histogram was dense enough that sparse
@@ -115,15 +107,6 @@ struct Params {
   /// sampled away). Internally clamped to 2/coreset_max_cells so the heavy
   /// set can occupy at most half the cap (size-cap proof, DESIGN.md §9).
   double coreset_epsilon = 0.001;
-
-  /// Run the fit's project→key→bin hot path through the fused single-pass
-  /// kernels (core/fused.hpp): bit-identical to the staged reference path —
-  /// keys, histograms, and the final model match exactly — but with the
-  /// per-key range checks and depth shifts hoisted out of the inner loop and
-  /// one traversal instead of four. `false` selects the staged stage_project
-  /// / stage_bin reference path (used by the equivalence property tests and
-  /// as an escape hatch).
-  bool use_fused_kernels = true;
 
   /// Fault tolerance: deadline, in seconds, for any recv/barrier inside the
   /// distributed stages to make progress before throwing a TimeoutError

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 #include "core/assess.hpp"
-#include "core/projection.hpp"
+#include "core/binner.hpp"
 #include "stats/ks_test.hpp"
 
 namespace keybin2::core {
@@ -51,8 +50,9 @@ constexpr int kCoresetCalibrationDepth = 6;
 ///
 /// Shallow levels (collapse, moderate partition depths) come out exact;
 /// deep levels are exact at block granularity with genuine heavy structure
-/// preserved bin-exact. Both collectives charge `profile`, so reduce_bytes
-/// covers the calibration traffic too.
+/// preserved bin-exact. Both collectives charge `profile->bytes`, so
+/// reduce_bytes covers the calibration traffic too; `profile->algo` stays
+/// kCoreset.
 std::vector<double> coreset_merge_histograms(
     runtime::Context& ctx,
     const std::vector<stats::HierarchicalHistogram>& hists,
@@ -74,8 +74,11 @@ std::vector<double> coreset_merge_histograms(
   // Every drop happens at exactly one rank (build or a tree-hop compress),
   // so the sum of the per-rank deltas is the global dropped mass.
   coarse_local.push_back(profile->coreset_mass_dropped - drops_before);
-  const auto coarse = ctx.comm().allreduce(
-      coarse_local, comm::ReduceOp::kSum, comm::AllreduceAlgo::kTree, profile);
+  comm::ReduceProfile calibration;
+  const auto coarse =
+      ctx.comm().allreduce(coarse_local, comm::ReduceOp::kSum,
+                           comm::AllreduceAlgo::kTree, &calibration);
+  profile->bytes += calibration.bytes;
   const double global_drops = coarse.back();
   if (global_drops == 0.0) return merged;  // sketch is exact end to end
 
@@ -129,44 +132,6 @@ std::vector<double> coreset_merge_histograms(
 
 }  // namespace
 
-ProjectedTrial stage_project(runtime::Context& ctx, const Matrix& local_points,
-                             std::size_t input_dims, int n_rp,
-                             bool use_projection, std::uint64_t trial_seed) {
-  return stage_project(ctx, local_points,
-                       use_projection
-                           ? make_projection_matrix(input_dims, n_rp,
-                                                    trial_seed)
-                           : Matrix());
-}
-
-ProjectedTrial stage_project(runtime::Context& ctx, const Matrix& local_points,
-                             Matrix projection) {
-  auto scope = ctx.tracer().scope(stage::kProject);
-  ProjectedTrial out;
-  if (projection.empty()) {
-    out.projected = local_points;
-  } else {
-    out.projected = project(local_points, projection);
-    out.projection = std::move(projection);
-  }
-  return out;
-}
-
-std::vector<Range> stage_agree_ranges(runtime::Context& ctx,
-                                      const Matrix& projected,
-                                      std::size_t dims) {
-  std::vector<double> lo(dims, std::numeric_limits<double>::infinity());
-  std::vector<double> hi(dims, -std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < projected.rows(); ++i) {
-    auto row = projected.row(i);
-    for (std::size_t j = 0; j < dims; ++j) {
-      lo[j] = std::min(lo[j], row[j]);
-      hi[j] = std::max(hi[j], row[j]);
-    }
-  }
-  return stage_agree_ranges(ctx, lo, hi);
-}
-
 std::vector<Range> stage_agree_ranges(runtime::Context& ctx,
                                       std::span<const double> local_lo,
                                       std::span<const double> local_hi) {
@@ -190,27 +155,6 @@ std::vector<Range> stage_agree_ranges(runtime::Context& ctx,
   return ranges;
 }
 
-BinnedTrial stage_bin(runtime::Context& ctx, const Matrix& projected,
-                      const std::vector<Range>& ranges, int max_depth) {
-  auto scope = ctx.tracer().scope(stage::kBin);
-  BinnedTrial out;
-  out.keys = compute_keys(projected, ranges, max_depth);
-  out.hists = build_histograms(out.keys, ranges);
-  ctx.metrics().add("points_binned", projected.rows());
-  return out;
-}
-
-void stage_merge_histograms(runtime::Context& ctx,
-                            std::vector<stats::HierarchicalHistogram>& hists,
-                            Topology topology, bool integral_counts) {
-  // The classic adaptive dense/sparse plane (pre-comm-mode behaviour);
-  // callers with a full Params use the comm-mode dispatch below.
-  Params params;
-  params.topology = topology;
-  params.comm_mode = CommMode::kSparse;
-  stage_merge_histograms(ctx, hists, params, integral_counts, nullptr);
-}
-
 void stage_merge_histograms(runtime::Context& ctx,
                             std::vector<stats::HierarchicalHistogram>& hists,
                             const Params& params, bool integral_counts,
@@ -222,54 +166,51 @@ void stage_merge_histograms(runtime::Context& ctx,
   // reordering exact and the payload is worth it), around a ring (§3
   // step 3), or through capped coreset sketches (DESIGN.md §9).
   const auto flat = flatten_counts(hists);
-  const auto before = ctx.comm().stats();
   comm::ReduceProfile profile;
   std::vector<double> merged;
-  bool coreset = false;
-  if (params.topology == Topology::kRing) {
-    merged = ctx.comm().ring_allreduce(flat);
-    // Ring traffic is not profiled; charge the stats delta instead (both
-    // accountings count framed bytes, so they agree where they overlap).
-    profile.bytes = (ctx.comm().stats() - before).bytes_sent;
-  } else {
-    comm::coreset::Options copts;
-    copts.max_cells = params.coreset_max_cells;
-    copts.epsilon = params.coreset_epsilon;
-    copts.seed = params.seed;
-    // Non-integral (fractional) counts never take the adaptive
-    // recursive-halving path: re-associating an FP sum would perturb
-    // results by rounding. A *forced* kCoreset still runs (it is
-    // approximate by contract); kAuto stays exact for fractional counts.
-    const auto exact_algo = integral_counts ? comm::AllreduceAlgo::kAuto
-                                            : comm::AllreduceAlgo::kTree;
-    switch (params.comm_mode) {
-      case CommMode::kDense:
-        merged = ctx.comm().allreduce(flat, comm::ReduceOp::kSum,
-                                      comm::AllreduceAlgo::kTree, &profile);
-        break;
-      case CommMode::kSparse:
+  comm::coreset::Options copts;
+  copts.max_cells = params.coreset_max_cells;
+  copts.epsilon = params.coreset_epsilon;
+  copts.seed = params.seed;
+  // Non-integral (fractional) counts never take the adaptive
+  // recursive-halving path: re-associating an FP sum would perturb
+  // results by rounding. A *forced* kCoreset still runs (it is
+  // approximate by contract); kAuto stays exact for fractional counts.
+  const auto exact_algo = integral_counts ? comm::AllreduceAlgo::kAuto
+                                          : comm::AllreduceAlgo::kTree;
+  switch (params.comm_mode) {
+    case CommMode::kDense:
+      merged = ctx.comm().allreduce(flat, comm::ReduceOp::kSum,
+                                    comm::AllreduceAlgo::kTree, &profile);
+      break;
+    case CommMode::kSparse:
+      merged = ctx.comm().allreduce(flat, comm::ReduceOp::kSum, exact_algo,
+                                    &profile);
+      break;
+    case CommMode::kRing: {
+      const auto before = ctx.comm().stats();
+      merged = ctx.comm().ring_allreduce(flat);
+      // Ring traffic is not profiled; charge the stats delta instead (both
+      // accountings count framed bytes, so they agree where they overlap).
+      profile.bytes = (ctx.comm().stats() - before).bytes_sent;
+      break;
+    }
+    case CommMode::kCoreset:
+      merged = coreset_merge_histograms(ctx, hists, flat, copts, &profile);
+      break;
+    case CommMode::kAuto: {
+      const bool dense_enough =
+          observed_nnz != nullptr &&
+          *observed_nnz >=
+              kCoresetAutoDensityFactor *
+                  static_cast<std::uint64_t>(params.coreset_max_cells);
+      if (integral_counts && dense_enough) {
+        merged = coreset_merge_histograms(ctx, hists, flat, copts, &profile);
+      } else {
         merged = ctx.comm().allreduce(flat, comm::ReduceOp::kSum, exact_algo,
                                       &profile);
-        break;
-      case CommMode::kCoreset:
-        merged = coreset_merge_histograms(ctx, hists, flat, copts, &profile);
-        coreset = true;
-        break;
-      case CommMode::kAuto: {
-        const bool dense_enough =
-            observed_nnz != nullptr &&
-            *observed_nnz >=
-                kCoresetAutoDensityFactor *
-                    static_cast<std::uint64_t>(params.coreset_max_cells);
-        if (integral_counts && dense_enough) {
-          merged = coreset_merge_histograms(ctx, hists, flat, copts, &profile);
-          coreset = true;
-        } else {
-          merged = ctx.comm().allreduce(flat, comm::ReduceOp::kSum, exact_algo,
-                                        &profile);
-        }
-        break;
       }
+      break;
     }
   }
   unflatten_counts(merged, hists);
@@ -279,8 +220,8 @@ void stage_merge_histograms(runtime::Context& ctx,
     *observed_nnz = nnz;
   }
   ctx.metrics().add("reduce_bytes", profile.bytes);
-  if (params.topology != Topology::kRing) {
-    if (coreset) {
+  if (params.comm_mode != CommMode::kRing) {
+    if (profile.algo == comm::AllreduceAlgo::kCoreset) {
       ctx.metrics().add("reduce_algo_coreset");
       ctx.metrics().add("coreset_cells_sent", profile.coreset_cells);
       // Counters are integers; for integral histogram counts the rounded
@@ -369,14 +310,6 @@ PartitionedCandidate stage_partition(
     out.dim_hists.push_back(std::move(level));
   }
   return out;
-}
-
-AssessedCandidate stage_assess(runtime::Context& ctx, const KeyTable& keys,
-                               const std::vector<int>& kept_dims,
-                               const PartitionedCandidate& candidate,
-                               double weight_per_point) {
-  return stage_assess(ctx, keys, kept_dims, candidate, Params{},
-                      weight_per_point);
 }
 
 AssessedCandidate stage_assess(runtime::Context& ctx, const KeyTable& keys,

@@ -9,7 +9,9 @@
 // the md::insitu analyzer all used to carry their own copy of this sequence;
 // they now compose the stage functions below, each of which opens a tracer
 // scope on the supplied runtime::Context (paths like "fit/trial0/bin") so
-// wall time and communication volume are attributable per stage.
+// wall time and communication volume are attributable per stage. Batch
+// fit's project and key/bin stages are the fused kernels (core/fused.hpp),
+// run under the kProject and kBin scopes.
 //
 // Collective discipline: stages marked [collective] must be entered by every
 // rank of the context's communicator in the same order (SPMD), exactly like
@@ -22,8 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/matrix.hpp"
-#include "core/binner.hpp"
 #include "core/cells.hpp"
 #include "core/keys.hpp"
 #include "core/model.hpp"
@@ -64,73 +64,15 @@ inline std::string trial(int index) {
 }
 }  // namespace stage
 
-/// Stage 1 output: one bootstrap trial's projection.
-struct ProjectedTrial {
-  Matrix projection;  // empty => identity (no projection)
-  Matrix projected;   // this rank's shard in the projected space
-};
-
-/// Stage 1 [local]: build the trial's `input_dims` x `n_rp` random
-/// projection from `trial_seed` (deterministic — every rank derives the
-/// identical matrix with no communication) and project the local shard.
-/// With `use_projection` false the shard passes through unchanged under an
-/// identity projection.
-ProjectedTrial stage_project(runtime::Context& ctx, const Matrix& local_points,
-                             std::size_t input_dims, int n_rp,
-                             bool use_projection, std::uint64_t trial_seed);
-
-/// Stage 1 variant [local]: project through a prebuilt matrix (empty =>
-/// identity passthrough). fit_once precomputes every trial's projection in
-/// parallel up front; both the staged and the fused path then consume them
-/// here without touching the Rng again.
-ProjectedTrial stage_project(runtime::Context& ctx, const Matrix& local_points,
-                             Matrix projection);
-
 /// Stage 2 [collective]: agree on per-dimension key ranges [r_min, r_max]
-/// from the local extremes of `projected` via min/max allreduces. Dimensions
-/// for which no rank observed any value (every shard empty) come back as the
-/// degenerate-but-valid range [0, 1) instead of the +inf/-inf extremes the
-/// empty shards contributed.
-std::vector<Range> stage_agree_ranges(runtime::Context& ctx,
-                                      const Matrix& projected,
-                                      std::size_t dims);
-
-/// Stage 2 variant [collective]: agree from precomputed per-dimension
-/// envelopes (the streaming engine tracks lo/hi incrementally instead of
-/// rescanning points). Same allreduces, same degenerate-range clamping.
+/// from this rank's per-dimension envelope (batch fit folds it into the
+/// projection pass; the streaming engine tracks it incrementally) via
+/// min/max allreduces. Dimensions for which no rank observed any value
+/// (every shard empty) come back as the degenerate-but-valid range [0, 1)
+/// instead of the +inf/-inf extremes the empty shards contributed.
 std::vector<Range> stage_agree_ranges(runtime::Context& ctx,
                                       std::span<const double> local_lo,
                                       std::span<const double> local_hi);
-
-/// Stage 3 output: the local key table and per-dimension histograms.
-struct BinnedTrial {
-  KeyTable keys;
-  std::vector<stats::HierarchicalHistogram> hists;
-};
-
-/// Stage 3 [local]: assign hierarchical keys to every (point, dimension) and
-/// build the per-dimension local histograms — the only point-derived state
-/// that will ever leave this rank.
-BinnedTrial stage_bin(runtime::Context& ctx, const Matrix& projected,
-                      const std::vector<Range>& ranges, int max_depth);
-
-/// Stage 4 [collective]: merge per-dimension histograms across ranks
-/// (elementwise sum of deepest-level counts), through the binomial tree or
-/// around the ring (§3 step 3). On return every rank holds the global
-/// histograms.
-///
-/// `integral_counts` declares that every count is an integer-valued double
-/// (weight-1.0 binning, as in batch fit). Integer sums below 2^53 are exact
-/// under any association, which frees the tree topology to pick the
-/// bandwidth-optimal recursive-halving allreduce with sparse segment
-/// encoding for large payloads (comm::AllreduceAlgo::kAuto). Leave it false
-/// for fractional counts (the streaming engine's rebinned reservoirs), where
-/// re-associating the sum would perturb results by rounding; those always
-/// take the fixed binomial tree. Records reduce_bytes / reduce_algo_* /
-/// sparse_hits metrics either way.
-void stage_merge_histograms(runtime::Context& ctx,
-                            std::vector<stats::HierarchicalHistogram>& hists,
-                            Topology topology, bool integral_counts = false);
 
 /// kAuto comm-mode density rule: switch the merge to the coreset plane once
 /// the previous merge's global non-zero count reaches this multiple of
@@ -138,18 +80,31 @@ void stage_merge_histograms(runtime::Context& ctx,
 /// and per-rank traffic grows with occupancy instead of staying capped.
 inline constexpr std::uint64_t kCoresetAutoDensityFactor = 4;
 
-/// Stage 4 variant [collective]: full comm-mode dispatch (DESIGN.md §9).
-/// `params.comm_mode` selects the plane: kDense pins the binomial tree,
-/// kSparse is the classic adaptive dense/sparse allreduce (what the
-/// Topology overload above runs), kCoreset ships capped weighted sketches
-/// (approximate, sum-only, deterministic per seed), and kAuto upgrades
-/// sparse to coreset using the density observed on the *previous* merge.
+/// Stage 4 [collective]: merge per-dimension histograms across ranks
+/// (elementwise sum of deepest-level counts); on return every rank holds
+/// the global histograms. `params.comm_mode` selects the exchange
+/// (DESIGN.md §9): kDense pins the binomial tree, kSparse is the adaptive
+/// dense/sparse allreduce, kRing passes the sums around the ring (§3 step
+/// 3), kCoreset ships capped weighted sketches (approximate, sum-only,
+/// deterministic per seed), and kAuto upgrades sparse to coreset using the
+/// density observed on the *previous* merge.
 ///
-/// `observed_nnz` (optional) carries that density across calls: on entry it
-/// is the last merge's global non-zero count (0 = unknown, stay exact); on
-/// return it holds this merge's. Every rank computes it from the identical
-/// merged vector, so the kAuto protocol choice needs no extra
-/// communication and can never diverge across ranks.
+/// `integral_counts` declares that every count is an integer-valued double
+/// (weight-1.0 binning, as in batch fit). Integer sums below 2^53 are exact
+/// under any association, which frees the sparse plane to pick the
+/// bandwidth-optimal recursive-halving allreduce with sparse segment
+/// encoding for large payloads (comm::AllreduceAlgo::kAuto). Leave it false
+/// for fractional counts (the streaming engine's rebinned reservoirs),
+/// where re-associating the sum would perturb results by rounding: every
+/// exact mode then takes the fixed binomial tree (kRing keeps its ring),
+/// and kAuto never upgrades; only a forced kCoreset still sketches.
+///
+/// `observed_nnz` (optional) carries the kAuto density across calls: on
+/// entry it is the last merge's global non-zero count (0 = unknown, stay
+/// exact); on return it holds this merge's. Every rank computes it from the
+/// identical merged vector, so the kAuto protocol choice needs no extra
+/// communication and can never diverge across ranks. Records reduce_bytes
+/// / reduce_algo_* / sparse_hits metrics.
 void stage_merge_histograms(runtime::Context& ctx,
                             std::vector<stats::HierarchicalHistogram>& hists,
                             const Params& params, bool integral_counts,
@@ -199,16 +154,11 @@ struct AssessedCandidate {
 /// at root, and rate the candidate with the histogram-space
 /// Calinski–Harabasz index. `weight_per_point` scales local counts (the
 /// streaming engine weighs its reservoir up to the stream's total mass).
-AssessedCandidate stage_assess(runtime::Context& ctx, const KeyTable& keys,
-                               const std::vector<int>& kept_dims,
-                               const PartitionedCandidate& candidate,
-                               double weight_per_point = 1.0);
-
-/// Stage 6 variant [collective]: comm-mode aware. Under `CommMode::kCoreset`
-/// a rank whose occupied-cell map exceeds `coreset_max_cells` gathers a
-/// weighted coreset of it (cells.hpp coreset_cells) instead of the full
-/// map, capping the assess-stage traffic the same way the histogram merge
-/// is capped. Every other mode gathers exact cells.
+/// Under `CommMode::kCoreset` a rank whose occupied-cell map exceeds
+/// `coreset_max_cells` gathers a weighted coreset of it (cells.hpp
+/// coreset_cells) instead of the full map, capping the assess-stage traffic
+/// the same way the histogram merge is capped. Every other mode gathers
+/// exact cells.
 AssessedCandidate stage_assess(runtime::Context& ctx, const KeyTable& keys,
                                const std::vector<int>& kept_dims,
                                const PartitionedCandidate& candidate,

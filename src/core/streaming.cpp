@@ -181,8 +181,9 @@ const Model& StreamingKeyBin2::refit_once(runtime::Context& ctx) {
       }
     }
 
-    // (3) Merge histograms across ranks.
-    stage_merge_histograms(ctx, merged, params_.topology);
+    // (3) Merge histograms across ranks. Rebinned counts are fractional,
+    // so every exact mode keeps the fixed tree (or ring) order.
+    stage_merge_histograms(ctx, merged, params_, /*integral_counts=*/false);
 
     // KS collapsing, as in batch fit.
     const auto kept_dims = collapse_dimensions(ctx, merged, params_);
@@ -209,8 +210,8 @@ const Model& StreamingKeyBin2::refit_once(runtime::Context& ctx) {
     for (const auto& depths : depth_candidates(merged, kept_dims, params_)) {
       auto candidate =
           stage_partition(ctx, merged, kept_dims, depths, params_);
-      auto assessed =
-          stage_assess(ctx, keys, kept_dims, candidate, local_weight);
+      auto assessed = stage_assess(ctx, keys, kept_dims, candidate, params_,
+                                   local_weight);
       if (assessed.scored && assessed.score > best.score) {
         best.score = assessed.score;
         best.depths = candidate.depths;
@@ -385,6 +386,14 @@ void StreamingKeyBin2::restore(ByteReader& r) {
     const auto prows = r.read<std::uint64_t>();
     const auto pcols = r.read<std::uint64_t>();
     auto pdata = r.read_vec<double>();
+    // input_dims x n_rp, or empty under the identity projection.
+    const std::uint64_t want_rows = params_.use_projection ? input_dims_ : 0;
+    const std::uint64_t want_cols =
+        params_.use_projection ? static_cast<std::uint64_t>(n_rp_) : 0;
+    KB2_CHECK_MSG(prows == want_rows && pcols == want_cols,
+                  "checkpoint trial " << t << " projection is " << prows
+                                      << " x " << pcols << ", engine expects "
+                                      << want_rows << " x " << want_cols);
     trial.projection = Matrix(static_cast<std::size_t>(prows),
                               static_cast<std::size_t>(pcols),
                               std::move(pdata));
@@ -398,7 +407,17 @@ void StreamingKeyBin2::restore(ByteReader& r) {
       trial.anchored[j] = r.read<std::uint8_t>() != 0;
     }
     trial.seen_lo = r.read_vec<double>();
+    KB2_CHECK_MSG(trial.seen_lo.size() == n_anchored,
+                  "checkpoint trial " << t << " seen_lo holds "
+                                      << trial.seen_lo.size()
+                                      << " values, engine has " << n_rp_
+                                      << " dimensions");
     trial.seen_hi = r.read_vec<double>();
+    KB2_CHECK_MSG(trial.seen_hi.size() == n_anchored,
+                  "checkpoint trial " << t << " seen_hi holds "
+                                      << trial.seen_hi.size()
+                                      << " values, engine has " << n_rp_
+                                      << " dimensions");
     const auto n_hists = r.read<std::uint64_t>();
     KB2_CHECK_MSG(n_hists == static_cast<std::uint64_t>(n_rp_),
                   "checkpoint trial has " << n_hists

@@ -58,7 +58,9 @@ class StreamingKeyBin2 {
 
   /// Rebuild the model from current histograms, merging state across the
   /// ranks of the context's communicator (every rank must call refit in
-  /// step). Executes through the shared core/pipeline stages; the context's
+  /// step). Executes through the shared core/pipeline stages, whose merge
+  /// and assess follow Params::comm_mode as in batch fit (the fractional
+  /// counts keep every exact mode on the fixed tree or ring); the context's
   /// tracer accumulates per-stage time and traffic under
   /// "refit/trial{t}/{stage}" scopes. Recoverable comm failures restart the
   /// refit up to Params::max_shrink_retries times, shrinking to the
@@ -94,7 +96,9 @@ class StreamingKeyBin2 {
   void serialize(ByteWriter& w) const;
 
   /// Restore state previously written by serialize(); the engine must have
-  /// been constructed with the same input_dims and compatible Params.
+  /// been constructed with the same input_dims and compatible Params. A
+  /// block whose shape disagrees with the engine (projection, envelope,
+  /// histograms, reservoir) throws keybin2::Error naming the field.
   void restore(ByteReader& r);
 
   /// Write the engine state to `path` as a versioned, CRC32-checked

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -235,30 +236,56 @@ TEST(StreamingCheckpoint, ResumedEngineContinuesTheStreamBitForBit) {
   }
 }
 
-// One trial's reservoir block in the version-2 engine payload.
-struct ReservoirBlock {
+// A matrix block of the version-2 engine payload: a trial's projection or
+// its reservoir.
+struct MatrixBlock {
   std::uint64_t rows = 0;
   std::uint64_t cols = 0;
   std::vector<double> values;
 };
+
+struct HistogramBlock {
+  double lo = 0.0;
+  double hi = 0.0;
+  std::int32_t depth = 0;
+  std::vector<double> counts;  // deepest level
+};
+
+// One trial of the payload, field by field, in the order
+// StreamingKeyBin2::serialize writes them.
+struct TrialBlocks {
+  MatrixBlock projection;
+  std::vector<std::uint8_t> anchored;
+  std::vector<double> seen_lo, seen_hi;
+  std::vector<HistogramBlock> hists;
+  MatrixBlock reservoir;
+};
+
+MatrixBlock read_block(ByteReader& r) {
+  MatrixBlock block;
+  block.rows = r.read<std::uint64_t>();
+  block.cols = r.read<std::uint64_t>();
+  block.values = r.read_vec<double>();
+  return block;
+}
+
+void write_block(ByteWriter& w, const MatrixBlock& block) {
+  w.write<std::uint64_t>(block.rows);
+  w.write<std::uint64_t>(block.cols);
+  w.write_vec(block.values);
+}
 
 template <typename T>
 void copy_value(ByteReader& r, ByteWriter& w) {
   w.write<T>(r.read<T>());
 }
 
-template <typename T>
-void copy_vec(ByteReader& r, ByteWriter& w) {
-  w.write_vec(r.read_vec<T>());
-}
-
-// Re-encode serialized engine state, passing each trial's reservoir block
-// through `edit`. Walks the layout StreamingKeyBin2::serialize writes:
-// header, then per trial the projection, anchors, envelope, histograms and
-// reservoir, then the RNG state and model, copied verbatim.
-std::vector<std::byte> edit_reservoirs(
+// Re-encode serialized engine state, passing each trial through `edit`.
+// The header before the trials and the RNG state and model after them are
+// copied verbatim.
+std::vector<std::byte> edit_trials(
     const std::vector<std::byte>& bytes,
-    const std::function<void(std::size_t, ReservoirBlock&)>& edit) {
+    const std::function<void(std::size_t, TrialBlocks&)>& edit) {
   ByteReader r(bytes);
   ByteWriter w;
   copy_value<std::uint64_t>(r, w);  // input_dims
@@ -269,30 +296,32 @@ std::vector<std::byte> edit_reservoirs(
   w.write<std::uint64_t>(trials);
   copy_value<std::uint64_t>(r, w);  // points_seen
   for (std::size_t t = 0; t < trials; ++t) {
-    copy_value<std::uint64_t>(r, w);  // projection rows
-    copy_value<std::uint64_t>(r, w);  // projection cols
-    copy_vec<double>(r, w);
-    const auto dims = r.read<std::uint64_t>();
-    w.write<std::uint64_t>(dims);
-    for (std::uint64_t j = 0; j < dims; ++j) copy_value<std::uint8_t>(r, w);
-    copy_vec<double>(r, w);  // seen_lo
-    copy_vec<double>(r, w);  // seen_hi
-    const auto hists = r.read<std::uint64_t>();
-    w.write<std::uint64_t>(hists);
-    for (std::uint64_t j = 0; j < hists; ++j) {
-      copy_value<double>(r, w);        // lo
-      copy_value<double>(r, w);        // hi
-      copy_value<std::int32_t>(r, w);  // depth
-      copy_vec<double>(r, w);          // deepest counts
+    TrialBlocks b;
+    b.projection = read_block(r);
+    b.anchored = r.read_vec<std::uint8_t>();
+    b.seen_lo = r.read_vec<double>();
+    b.seen_hi = r.read_vec<double>();
+    b.hists.resize(r.read<std::uint64_t>());
+    for (auto& h : b.hists) {
+      h.lo = r.read<double>();
+      h.hi = r.read<double>();
+      h.depth = r.read<std::int32_t>();
+      h.counts = r.read_vec<double>();
     }
-    ReservoirBlock block;
-    block.rows = r.read<std::uint64_t>();
-    block.cols = r.read<std::uint64_t>();
-    block.values = r.read_vec<double>();
-    edit(t, block);
-    w.write<std::uint64_t>(block.rows);
-    w.write<std::uint64_t>(block.cols);
-    w.write_vec(block.values);
+    b.reservoir = read_block(r);
+    edit(t, b);
+    write_block(w, b.projection);
+    w.write_vec(b.anchored);
+    w.write_vec(b.seen_lo);
+    w.write_vec(b.seen_hi);
+    w.write<std::uint64_t>(b.hists.size());
+    for (const auto& h : b.hists) {
+      w.write(h.lo);
+      w.write(h.hi);
+      w.write(h.depth);
+      w.write_vec(h.counts);
+    }
+    write_block(w, b.reservoir);
   }
   auto out = w.take();
   const auto tail = static_cast<std::ptrdiff_t>(r.remaining());
@@ -300,15 +329,21 @@ std::vector<std::byte> edit_reservoirs(
   return out;
 }
 
-std::string restore_error(StreamingKeyBin2& engine,
-                          const std::vector<std::byte>& bytes) {
-  ByteReader r(bytes);
+// Restore `payload` into a fresh 6-dimension engine and expect an error
+// whose message contains `why`.
+void expect_restore_error(const std::vector<std::byte>& payload,
+                          std::size_t capacity, const std::string& why,
+                          const Params& params = {}) {
+  StreamingKeyBin2 fresh(6, params, capacity);
+  ByteReader r(payload);
+  std::string error;
   try {
-    engine.restore(r);
+    fresh.restore(r);
   } catch (const Error& e) {
-    return e.what();
+    error = e.what();
   }
-  return "";
+  EXPECT_NE(error.find(why), std::string::npos)
+      << "expected '" << why << "', got '" << error << "'";
 }
 
 TEST(StreamingCheckpoint, RestoreRejectsMalformedReservoirBlocks) {
@@ -319,43 +354,79 @@ TEST(StreamingCheckpoint, RestoreRejectsMalformedReservoirBlocks) {
   const auto bytes = engine_bytes(a);
   std::uint64_t trial0_rows = 0;
   const auto unchanged =
-      edit_reservoirs(bytes, [&](std::size_t t, ReservoirBlock& b) {
-        if (t == 0) trial0_rows = b.rows;
+      edit_trials(bytes, [&](std::size_t t, TrialBlocks& b) {
+        if (t == 0) trial0_rows = b.reservoir.rows;
       });
   ASSERT_EQ(unchanged, bytes);  // the walker mirrors the layout
   ASSERT_EQ(trial0_rows, 64u);
 
-  const auto fails = [&](const std::vector<std::byte>& payload,
-                         std::size_t capacity, const std::string& why) {
-    StreamingKeyBin2 fresh(6, Params{}, capacity);
-    const auto error = restore_error(fresh, payload);
-    EXPECT_NE(error.find(why), std::string::npos)
-        << "expected '" << why << "', got '" << error << "'";
-  };
   // Column count other than n_rp (the block keeps rows * cols values).
-  fails(edit_reservoirs(bytes,
-                        [](std::size_t t, ReservoirBlock& b) {
-                          if (t != 0) return;
-                          b.rows /= 2;
-                          b.cols *= 2;
-                        }),
-        64, "columns");
+  expect_restore_error(edit_trials(bytes,
+                                   [](std::size_t t, TrialBlocks& b) {
+                                     if (t != 0) return;
+                                     b.reservoir.rows /= 2;
+                                     b.reservoir.cols *= 2;
+                                   }),
+                       64, "columns");
   // More rows than the engine's capacity.
-  fails(bytes, 32, "capacity");
+  expect_restore_error(bytes, 32, "capacity");
   // A value count other than rows * cols.
-  fails(edit_reservoirs(bytes,
-                        [](std::size_t t, ReservoirBlock& b) {
-                          if (t == 0) b.values.push_back(0.0);
-                        }),
-        64, "storage size");
+  expect_restore_error(edit_trials(bytes,
+                                   [](std::size_t t, TrialBlocks& b) {
+                                     if (t == 0) {
+                                       b.reservoir.values.push_back(0.0);
+                                     }
+                                   }),
+                       64, "storage size");
   // Trials that disagree on how many rows the sample holds.
-  fails(edit_reservoirs(bytes,
-                        [](std::size_t t, ReservoirBlock& b) {
-                          if (t != 1) return;
-                          b.rows -= 1;
-                          b.values.resize(b.rows * b.cols);
-                        }),
-        64, "trial 0 holds");
+  expect_restore_error(edit_trials(bytes,
+                                   [](std::size_t t, TrialBlocks& b) {
+                                     if (t != 1) return;
+                                     b.reservoir.rows -= 1;
+                                     b.reservoir.values.resize(
+                                         b.reservoir.rows * b.reservoir.cols);
+                                   }),
+                       64, "trial 0 holds");
+}
+
+TEST(StreamingCheckpoint, RestoreRejectsMalformedEnvelopeAndProjection) {
+  // A CRC-valid payload whose envelope or projection has the wrong shape
+  // must fail in restore, not index out of bounds on the next push.
+  StreamingKeyBin2 a(6, Params{}, 64);
+  a.push_batch(stream_data(200, 8).points);
+  const auto bytes = engine_bytes(a);
+  const auto edit_trial0 = [&](const std::vector<std::byte>& payload,
+                               const std::function<void(TrialBlocks&)>& edit) {
+    return edit_trials(payload, [&](std::size_t t, TrialBlocks& b) {
+      if (t == 0) edit(b);
+    });
+  };
+
+  // An envelope shorter or longer than n_rp.
+  expect_restore_error(
+      edit_trial0(bytes, [](TrialBlocks& b) { b.seen_lo.pop_back(); }), 64,
+      "seen_lo");
+  expect_restore_error(
+      edit_trial0(bytes, [](TrialBlocks& b) { b.seen_hi.push_back(0.0); }),
+      64, "seen_hi");
+  // A transposed projection: n_rp x input_dims, same value count.
+  expect_restore_error(edit_trial0(bytes,
+                                   [](TrialBlocks& b) {
+                                     std::swap(b.projection.rows,
+                                               b.projection.cols);
+                                   }),
+                       64, "projection");
+  // A projection where the identity ablation keeps none.
+  Params identity;
+  identity.use_projection = false;
+  StreamingKeyBin2 c(6, identity, 64);
+  c.push_batch(stream_data(200, 8).points);
+  expect_restore_error(edit_trial0(engine_bytes(c),
+                                   [](TrialBlocks& b) {
+                                     b.projection = {
+                                         6, 6, std::vector<double>(36, 0.0)};
+                                   }),
+                       64, "projection", identity);
 }
 
 TEST(StreamingCheckpoint, VersionOneFileFailsAsVersionSkew) {

@@ -11,9 +11,11 @@
 #include <numeric>
 
 #include "comm/launch.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cells.hpp"
 #include "core/keybin2.hpp"
+#include "core/streaming.hpp"
 #include "data/gaussian_mixture.hpp"
 #include "data/partition.hpp"
 #include "runtime/context.hpp"
@@ -172,6 +174,10 @@ TEST(CoresetAllreduce, ExactForDisjointSupportsUnderCap) {
     results[static_cast<std::size_t>(c.rank())] =
         c.coreset_allreduce(local, opts,
                             &profiles[static_cast<std::size_t>(c.rank())]);
+    // kCoreset only reports this call; allreduce refuses to select it.
+    EXPECT_THROW((void)c.allreduce(local, comm::ReduceOp::kSum,
+                                   comm::AllreduceAlgo::kCoreset),
+                 Error);
   });
   // Union fits the cap at every hop, so the reduction is exact.
   std::vector<double> expected(len, 0.0);
@@ -423,6 +429,40 @@ TEST_F(CoresetFitTest, AutoWithDefaultKnobsMatchesSparseExactly) {
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_DOUBLE_EQ(a.score, b.score);
   EXPECT_FALSE(b.counters.count("reduce_algo_coreset"));
+}
+
+TEST_F(CoresetFitTest, ForcedCoresetCapsStreamingRefits) {
+  // Refits follow comm_mode as batch fit does: under a cap below the
+  // merged occupancy the refit merge ships sketches, and the same seed
+  // gives the same model bytes and metrics.
+  auto params = base_params();
+  params.comm_mode = core::CommMode::kCoreset;
+  params.coreset_max_cells = 256;
+  auto refit = [&] {
+    std::vector<std::byte> model;
+    std::map<std::string, std::uint64_t> counters;
+    comm::run_ranks(kRanks, [&](comm::Communicator& c) {
+      runtime::Context ctx(c, params.seed);
+      core::StreamingKeyBin2 engine(data_.dims(), params);
+      engine.push_batch(shards_[static_cast<std::size_t>(c.rank())].points);
+      const auto& fitted = engine.refit(ctx);
+      const auto report = ctx.metrics_report();  // collective
+      if (c.rank() == 0) {
+        ByteWriter w;
+        fitted.serialize(w);
+        model = w.take();
+        counters = report.counters;
+      }
+    });
+    return std::pair{model, counters};
+  };
+  const auto [model1, counters1] = refit();
+  const auto [model2, counters2] = refit();
+  EXPECT_EQ(model1, model2);
+  EXPECT_EQ(counters1, counters2);
+  ASSERT_TRUE(counters1.count("reduce_algo_coreset"));
+  EXPECT_FALSE(counters1.count("reduce_algo_tree"));
+  EXPECT_GT(counters1.at("coreset_mass_dropped"), 0u);
 }
 
 TEST_F(CoresetFitTest, ForcedCoresetProcessBackendMatchesThreadBackend) {

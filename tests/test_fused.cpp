@@ -1,8 +1,11 @@
 // Property tests for the fused project→key→bin data plane (core/fused.hpp):
-// the fused kernels must be BIT-IDENTICAL to the staged reference path at
-// every level — individual keys, envelopes, histogram counts, and the final
-// fitted model — across seeds, rank counts, and depths. Any FP reassociation
-// in the fused inner loops shows up here as an exact-equality failure.
+// the fused kernels must be BIT-IDENTICAL to the reference kernels (project,
+// a range scan, compute_keys, build_histograms) at every level — individual
+// keys, envelopes and histogram counts — across seeds and depths. Any FP
+// reassociation in the fused inner loops shows up here as an exact-equality
+// failure. Whole fits are pinned in test_pipeline (Equivalence.*) and swept
+// across ranks, backends and comm modes in test_keybin2
+// (DistributedEquivalence).
 #include "core/fused.hpp"
 
 #include <gtest/gtest.h>
@@ -12,26 +15,13 @@
 #include <limits>
 #include <vector>
 
-#include "comm/launch.hpp"
 #include "common/rng.hpp"
 #include "core/binner.hpp"
-#include "core/keybin2.hpp"
 #include "core/keys.hpp"
 #include "core/projection.hpp"
-#include "data/gaussian_mixture.hpp"
-#include "data/partition.hpp"
 
 namespace keybin2::core {
 namespace {
-
-std::uint64_t label_hash(const std::vector<int>& labels) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (int l : labels) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(l));
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 // ---- Kernel level: fused_key vs key_of ----
 
@@ -211,98 +201,6 @@ TEST(FusedPasses, WorkspaceReuseAcrossShrinkingInputsStaysCorrect) {
       }
     }
   }
-}
-
-// ---- Model level: full fit, fused vs staged, serial and distributed ----
-
-struct FitCase {
-  std::uint64_t seed;
-  int max_depth;
-};
-
-class FusedVsStaged : public ::testing::TestWithParam<FitCase> {};
-
-TEST_P(FusedVsStaged, SerialFitIsBitIdentical) {
-  const auto [seed, max_depth] = GetParam();
-  const auto spec = data::make_paper_mixture(25, 4, seed);
-  const auto d = data::sample(spec, 3000, seed + 1);
-
-  Params fused_params;
-  fused_params.max_depth = max_depth;
-  fused_params.use_fused_kernels = true;
-  Params staged_params = fused_params;
-  staged_params.use_fused_kernels = false;
-
-  const auto fused = fit(d.points, fused_params);
-  const auto staged = fit(d.points, staged_params);
-
-  EXPECT_EQ(fused.labels, staged.labels);
-  EXPECT_EQ(fused.model.score(), staged.model.score());  // bitwise
-  EXPECT_EQ(fused.n_clusters(), staged.n_clusters());
-  EXPECT_EQ(label_hash(fused.labels), label_hash(staged.labels));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, FusedVsStaged,
-    ::testing::Values(FitCase{101, 7}, FitCase{102, 7}, FitCase{103, 4},
-                      FitCase{104, 10}, FitCase{105, 3}));
-
-class FusedVsStagedRanks : public ::testing::TestWithParam<int> {};
-
-TEST_P(FusedVsStagedRanks, DistributedFitIsBitIdenticalAcrossPaths) {
-  const int ranks = GetParam();
-  const auto spec = data::make_paper_mixture(30, 4, 201);
-  const auto d = data::sample(spec, 2400, 202);
-  const auto shards = data::shard(d, ranks);
-
-  auto run = [&](bool fused_kernels) {
-    Params params;
-    params.use_fused_kernels = fused_kernels;
-    std::vector<int> combined(d.size());
-    std::vector<double> score(1);
-    comm::run_ranks(ranks, [&](comm::Communicator& c) {
-      const auto r = static_cast<std::size_t>(c.rank());
-      const auto result = fit(c, shards[r].points, params);
-      const auto rows = data::partition_rows(d.size(), ranks);
-      std::copy(result.labels.begin(), result.labels.end(),
-                combined.begin() +
-                    static_cast<std::ptrdiff_t>(rows[r].begin));
-      if (c.rank() == 0) score[0] = result.model.score();
-    });
-    return std::pair{combined, score[0]};
-  };
-
-  const auto [fused_labels, fused_score] = run(true);
-  const auto [staged_labels, staged_score] = run(false);
-  EXPECT_EQ(fused_labels, staged_labels);
-  EXPECT_EQ(fused_score, staged_score);  // bitwise
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, FusedVsStagedRanks,
-                         ::testing::Values(1, 2, 8));
-
-TEST(FusedVsStaged, PerDimensionDepthModeIsBitIdentical) {
-  const auto spec = data::make_paper_mixture(20, 4, 301);
-  const auto d = data::sample(spec, 2000, 302);
-  Params params;
-  params.per_dimension_depth = true;
-  const auto fused = fit(d.points, params);
-  params.use_fused_kernels = false;
-  const auto staged = fit(d.points, params);
-  EXPECT_EQ(fused.labels, staged.labels);
-  EXPECT_EQ(fused.model.score(), staged.model.score());
-}
-
-TEST(FusedVsStaged, IdentityProjectionAblationIsBitIdentical) {
-  const auto spec = data::make_paper_mixture(15, 3, 401);
-  const auto d = data::sample(spec, 1500, 402);
-  Params params;
-  params.use_projection = false;
-  const auto fused = fit(d.points, params);
-  params.use_fused_kernels = false;
-  const auto staged = fit(d.points, params);
-  EXPECT_EQ(fused.labels, staged.labels);
-  EXPECT_EQ(fused.model.score(), staged.model.score());
 }
 
 }  // namespace

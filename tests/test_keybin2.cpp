@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/launch.hpp"
 #include "common/error.hpp"
+#include "common/serialize.hpp"
 #include "data/gaussian_mixture.hpp"
 #include "data/partition.hpp"
 #include "data/shapes.hpp"
@@ -170,31 +173,6 @@ TEST(Fit, PredictOfANaNPointThrows) {
 }
 
 
-TEST(Fit, RingTopologyMatchesTreeExactly) {
-  // §3 step 3: the histogram merge works equally over a ring — same sums,
-  // same model, same labels.
-  const auto spec = data::make_paper_mixture(24, 3, 41);
-  const auto d = data::sample(spec, 1600, 42);
-  const auto shards = data::shard(d, 4);
-
-  auto run_with = [&](Topology topology) {
-    std::vector<int> combined(d.size());
-    Params params;
-    params.topology = topology;
-    comm::run_ranks(4, [&](comm::Communicator& c) {
-      const auto r = static_cast<std::size_t>(c.rank());
-      const auto result = fit(c, shards[r].points, params);
-      const auto ranges = data::partition_rows(d.size(), 4);
-      std::copy(result.labels.begin(), result.labels.end(),
-                combined.begin() +
-                    static_cast<std::ptrdiff_t>(ranges[r].begin));
-    });
-    return combined;
-  };
-
-  EXPECT_EQ(run_with(Topology::kTree), run_with(Topology::kRing));
-}
-
 TEST(Fit, KdeSmoothingIsAViableAlternative) {
   // §3.2: the moving-average smoothing "reaches similar accuracy compared
   // to KDE curves" — swap the smoother and the pipeline still clusters.
@@ -266,7 +244,19 @@ TEST(Fit, PerDimensionDepthDistributedEquivalence) {
 
 // ---- Distributed equivalence: the paper's central claim is that the
 // distributed algorithm computes the same clustering as a centralized run,
-// because only histograms are exchanged. ----
+// because only histograms are exchanged. Every exact comm mode, on either
+// backend, must hand each rank the serial model's bytes and its own slice
+// of the serial labels. At max_depth 10 the merge carries n_rp x 1024 bins,
+// at least kRecursiveHalvingMinElements, so the sparse and auto modes run
+// recursive halving with sparse segments. ----
+
+std::vector<std::byte> model_and_labels(const Model& model,
+                                        std::span<const int> labels) {
+  ByteWriter w;
+  model.serialize(w);
+  w.write_span(labels);
+  return w.take();
+}
 
 class DistributedEquivalence : public ::testing::TestWithParam<int> {};
 
@@ -274,31 +264,41 @@ TEST_P(DistributedEquivalence, MatchesSerialExactly) {
   const int ranks = GetParam();
   const auto spec = data::make_paper_mixture(30, 4, 21);
   const auto d = data::sample(spec, 2400, 22);
-
-  const auto serial = fit(d.points);
+  Params params;
+  params.max_depth = 10;
+  const auto serial = fit(d.points, params);
 
   const auto shards = data::shard(d, ranks);
-  std::vector<std::vector<int>> local_labels(static_cast<std::size_t>(ranks));
-  std::vector<double> scores(static_cast<std::size_t>(ranks));
-  comm::run_ranks(ranks, [&](comm::Communicator& c) {
-    const auto r = static_cast<std::size_t>(c.rank());
-    const auto result = fit(c, shards[r].points);
-    local_labels[r] = result.labels;
-    scores[r] = result.model.score();
-  });
-
-  // Every rank got the same model...
-  for (int r = 1; r < ranks; ++r) {
-    EXPECT_DOUBLE_EQ(scores[static_cast<std::size_t>(r)], scores[0]);
+  const auto rows = data::partition_rows(d.size(), ranks);
+  const std::pair<CommMode, const char*> exact_modes[] = {
+      {CommMode::kDense, "dense"},
+      {CommMode::kSparse, "sparse"},
+      {CommMode::kRing, "ring"},
+      {CommMode::kAuto, "auto"}};
+  for (const auto backend : {comm::Backend::kThread, comm::Backend::kProcess}) {
+    for (const auto& [mode, name] : exact_modes) {
+      SCOPED_TRACE(std::string(comm::backend_name(backend)) + " backend, " +
+                   name + " mode");
+      params.comm_mode = mode;
+      comm::LaunchOptions options;
+      options.backend = backend;
+      const auto blobs = comm::run_ranks_collect_bytes(
+          options, ranks, [&](comm::Communicator& c) {
+            const auto r = static_cast<std::size_t>(c.rank());
+            const auto result = fit(c, shards[r].points, params);
+            return model_and_labels(result.model, result.labels);
+          });
+      for (int r = 0; r < ranks; ++r) {
+        const auto& range = rows[static_cast<std::size_t>(r)];
+        const auto expected = model_and_labels(
+            serial.model,
+            std::span<const int>(serial.labels).subspan(range.begin,
+                                                        range.count()));
+        EXPECT_EQ(blobs[static_cast<std::size_t>(r)], expected)
+            << "rank " << r << " diverged from the serial fit";
+      }
+    }
   }
-  EXPECT_DOUBLE_EQ(scores[0], serial.model.score());
-
-  // ...and the concatenated labels equal the serial labels bit for bit.
-  std::vector<int> combined;
-  for (const auto& part : local_labels) {
-    combined.insert(combined.end(), part.begin(), part.end());
-  }
-  EXPECT_EQ(combined, serial.labels);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, DistributedEquivalence,
