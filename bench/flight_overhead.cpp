@@ -29,7 +29,7 @@
 #include "common/serialize.hpp"
 #include "core/keybin2.hpp"
 #include "runtime/context.hpp"
-#include "runtime/flight/flight.hpp"
+#include "runtime/segment.hpp"
 
 #ifndef __linux__
 int main() {
@@ -54,7 +54,7 @@ double now_seconds() {
 /// {model bytes, labels} blob.
 double timed_fit(const std::vector<data::Dataset>& shards,
                  const core::Params& params,
-                 runtime::flight::FlightSegment* seg,
+                 runtime::RankSegment* seg,
                  std::vector<std::vector<std::byte>>& fingerprints) {
   const int ranks = static_cast<int>(shards.size());
   const double t0 = now_seconds();
@@ -82,7 +82,7 @@ int run_bench(const bench::Options& opt) {
   core::Params params;
   params.seed = opt.seed;
 
-  runtime::flight::FlightSegment seg(opt.ranks, "flight_overhead bench");
+  runtime::RankSegment seg(opt.ranks, "flight_overhead bench");
 
   bench::Series plain_s, recorded_s, ratio_s;
   std::printf("== flight-recorder overhead: %d ranks x %zu points ==\n",

@@ -30,7 +30,7 @@
 #include "common/serialize.hpp"
 #include "core/keybin2.hpp"
 #include "runtime/context.hpp"
-#include "runtime/profile/telemetry.hpp"
+#include "runtime/segment.hpp"
 
 #ifndef __linux__
 int main() {
@@ -50,12 +50,11 @@ double now_seconds() {
       .count();
 }
 
-/// One distributed fit; `tele` non-null turns on the full profiler stack
+/// One distributed fit; `seg` non-null turns on the full profiler stack
 /// (sampler + perf counters + telemetry publishing). Returns wall seconds
 /// and fills `fingerprints` with each rank's {model bytes, labels} blob.
 double timed_fit(const std::vector<data::Dataset>& shards,
-                 const core::Params& params,
-                 runtime::profile::TelemetrySegment* tele,
+                 const core::Params& params, runtime::RankSegment* seg,
                  std::vector<std::vector<std::byte>>& fingerprints) {
   const int ranks = static_cast<int>(shards.size());
   const double t0 = now_seconds();
@@ -64,9 +63,7 @@ double timed_fit(const std::vector<data::Dataset>& shards,
       [&](comm::Communicator& c) -> std::vector<std::byte> {
         const auto r = static_cast<std::size_t>(c.rank());
         runtime::Context ctx(c, params.seed);
-        if (tele != nullptr) {
-          ctx.enable_profiler({}, tele->slot(c.rank()));
-        }
+        if (seg != nullptr) ctx.enable_profiler({}, seg->slot(c.rank()));
         const auto result = core::fit(ctx, shards[r].points, params);
         if (ctx.profiler() != nullptr) ctx.profiler()->stop();
         ByteWriter w;
@@ -86,9 +83,8 @@ int run_bench(const bench::Options& opt) {
   core::Params params;
   params.seed = opt.seed;
 
-  runtime::profile::TelemetrySegment tele(
-      "kb2-profov-" + std::to_string(getpid()), opt.ranks,
-      "profile_overhead bench");
+  runtime::RankSegment seg(opt.ranks, "profile_overhead bench",
+                           "kb2-profov-" + std::to_string(getpid()));
 
   bench::Series plain_s, profiled_s, ratio_s;
   std::printf("== profile overhead: %d ranks x %zu points ==\n", opt.ranks,
@@ -97,15 +93,15 @@ int run_bench(const bench::Options& opt) {
   // history belong to neither side of the ratio.
   std::vector<std::vector<std::byte>> plain_fp, profiled_fp;
   (void)timed_fit(shards, params, nullptr, plain_fp);
-  (void)timed_fit(shards, params, &tele, profiled_fp);
+  (void)timed_fit(shards, params, &seg, profiled_fp);
 
   for (int run = 0; run < opt.runs; ++run) {
     double tp, tq;
     if (run % 2 == 0) {
       tp = timed_fit(shards, params, nullptr, plain_fp);
-      tq = timed_fit(shards, params, &tele, profiled_fp);
+      tq = timed_fit(shards, params, &seg, profiled_fp);
     } else {
-      tq = timed_fit(shards, params, &tele, profiled_fp);
+      tq = timed_fit(shards, params, &seg, profiled_fp);
       tp = timed_fit(shards, params, nullptr, plain_fp);
     }
     for (std::size_t r = 0; r < plain_fp.size(); ++r) {

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <string>
-#include <thread>
 
 #include "common/error.hpp"
-#include "comm/recovery.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/fused.hpp"
@@ -221,61 +218,15 @@ FitResult fit_once(runtime::Context& ctx, const Matrix& local_points,
 
 FitResult fit(runtime::Context& ctx, const Matrix& local_points,
               const Params& params) {
-  if (params.comm_timeout_seconds > 0.0) {
-    ctx.comm().set_timeout(params.comm_timeout_seconds);
-  }
-
-  // Recovery loop: a recoverable transport failure (timeout, corrupt frame,
-  // dead rank) restarts the WHOLE fit rather than one stage — ranks detect a
-  // failure at different points of the protocol, so per-stage retry would
-  // desynchronize them, while agree_survivors() (inside
-  // shrink_to_survivors) is a rendezvous of all live ranks and the restarted
-  // protocol begins from an agreed clean slate. The stages are pure in their
-  // inputs, so rerunning them is safe; with ranks lost the retry runs over
-  // the shrunken survivor group (the merged histograms of the survivors
-  // remain a valid subsample — see DESIGN.md §4b).
-  int attempt = 0;
-  bool recover = false;
-  for (;;) {
-    try {
-      if (recover) {
-        recover = false;
-        // Deterministic backoff before re-entering the protocol: ranks that
-        // detected the failure at different points pause comparably (same
-        // policy, same attempt, rank-salted jitter), so nobody hammers the
-        // rendezvous while stragglers are still unwinding.
-        const double pause_ms = comm::backoff_ms(
-            params.recovery, attempt - 1,
-            static_cast<std::uint64_t>(ctx.comm().rank()));
-        if (pause_ms > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-              pause_ms));
-        }
-        ctx.shrink_to_survivors();
-        if (ctx.is_root()) ctx.tracer().counter("fit_retries", 1.0);
-      }
-      return fit_once(ctx, local_points, params);
-    } catch (const comm::FitAbortedError&) {
-      throw;  // already the terminal rung; never re-wrapped or retried
-    } catch (const comm::CommError& e) {
-      if (attempt >= params.max_shrink_retries) {
-        ctx.log().error("fit_abandoned",
-                        {{"kind", comm::error_kind(e)},
-                         {"attempts", std::to_string(attempt)}});
-        throw comm::FitAbortedError(
-            std::string("fit aborted after ") + std::to_string(attempt) +
-                " retries; last failure [" + comm::error_kind(e) +
-                "]: " + e.what(),
-            attempt, comm::error_kind(e));
-      }
-      ++attempt;
-      recover = true;
-      ctx.metrics().add("fit_retries");
-      ctx.log().warn("fit_retry", {{"kind", comm::error_kind(e)},
-                                   {"attempt", std::to_string(attempt)},
-                                   {"what", e.what()}});
-    }
-  }
+  // The stages are pure in their inputs, so rerunning them is safe; with
+  // ranks lost the retry runs over the shrunken survivor group (the merged
+  // histograms of the survivors remain a valid subsample — see DESIGN.md
+  // §4b).
+  FitResult result;
+  run_with_recovery(ctx, params, "fit", [&] {
+    result = fit_once(ctx, local_points, params);
+  });
+  return result;
 }
 
 FitResult fit(comm::Communicator& comm, const Matrix& local_points,

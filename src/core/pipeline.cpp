@@ -1,8 +1,11 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <thread>
 
+#include "comm/recovery.hpp"
 #include "common/error.hpp"
 #include "core/assess.hpp"
 #include "core/binner.hpp"
@@ -368,6 +371,58 @@ Model stage_share_model(runtime::Context& ctx, std::optional<Model> root_model,
   Model model = Model::deserialize(reader);
   if (read_extra) read_extra(reader);
   return model;
+}
+
+void run_with_recovery(runtime::Context& ctx, const Params& params,
+                       std::string_view name,
+                       const std::function<void()>& attempt) {
+  if (params.comm_timeout_seconds > 0.0) {
+    ctx.comm().set_timeout(params.comm_timeout_seconds);
+  }
+  const std::string what(name);
+  int retries = 0;
+  bool recover = false;
+  for (;;) {
+    try {
+      if (recover) {
+        recover = false;
+        // Deterministic backoff before re-entering the protocol: ranks that
+        // detected the failure at different points pause comparably (same
+        // policy, same attempt, rank-salted jitter), so nobody hammers the
+        // rendezvous while stragglers are still unwinding.
+        const double pause_ms = comm::backoff_ms(
+            params.recovery, retries - 1,
+            static_cast<std::uint64_t>(ctx.comm().rank()));
+        if (pause_ms > 0.0) {
+          std::this_thread::sleep_for(
+              std::chrono::duration<double, std::milli>(pause_ms));
+        }
+        ctx.shrink_to_survivors();
+        if (ctx.is_root()) ctx.tracer().counter("fit_retries", 1.0);
+      }
+      attempt();
+      return;
+    } catch (const comm::FitAbortedError&) {
+      throw;  // already the terminal rung; never re-wrapped or retried
+    } catch (const comm::CommError& e) {
+      if (retries >= params.max_shrink_retries) {
+        ctx.log().error(what + "_abandoned",
+                        {{"kind", comm::error_kind(e)},
+                         {"attempts", std::to_string(retries)}});
+        throw comm::FitAbortedError(
+            what + " aborted after " + std::to_string(retries) +
+                " retries; last failure [" + comm::error_kind(e) +
+                "]: " + e.what(),
+            retries, comm::error_kind(e));
+      }
+      ++retries;
+      recover = true;
+      ctx.metrics().add("fit_retries");
+      ctx.log().warn(what + "_retry", {{"kind", comm::error_kind(e)},
+                                       {"attempt", std::to_string(retries)},
+                                       {"what", e.what()}});
+    }
+  }
 }
 
 }  // namespace keybin2::core

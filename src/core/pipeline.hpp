@@ -22,6 +22,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cells.hpp"
@@ -173,5 +174,19 @@ Model stage_share_model(
     runtime::Context& ctx, std::optional<Model> root_model,
     const std::function<void(ByteWriter&)>& write_extra = {},
     const std::function<void(ByteReader&)>& read_extra = {});
+
+/// The recovery loop of fit() and refit() [collective] (DESIGN.md §7): run
+/// `attempt` under params.comm_timeout_seconds, and after a recoverable
+/// comm::CommError back off, shrink to the survivors and rerun the WHOLE
+/// attempt. Ranks detect a failure at different points of the protocol, so
+/// a per-stage retry would desynchronize them, while the survivor agreement
+/// inside shrink_to_survivors() is a rendezvous of all live ranks and the
+/// rerun starts from an agreed clean slate. Once params.max_shrink_retries
+/// retries are spent the failure becomes a typed comm::FitAbortedError.
+/// `name` ("fit", "refit") names the <name>_retry / <name>_abandoned events
+/// and starts the abort message.
+void run_with_recovery(runtime::Context& ctx, const Params& params,
+                       std::string_view name,
+                       const std::function<void()>& attempt);
 
 }  // namespace keybin2::core

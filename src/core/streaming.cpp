@@ -1,13 +1,10 @@
 #include "core/streaming.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
-#include <thread>
 
-#include "comm/recovery.hpp"
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "core/checkpoint.hpp"
@@ -241,53 +238,11 @@ const Model& StreamingKeyBin2::refit_once(runtime::Context& ctx) {
 }
 
 const Model& StreamingKeyBin2::refit(runtime::Context& ctx) {
-  if (params_.comm_timeout_seconds > 0.0) {
-    ctx.comm().set_timeout(params_.comm_timeout_seconds);
-  }
-
-  // Same recovery loop as core::fit (see keybin2.cpp): restart the whole
-  // refit after a recoverable transport failure, over the survivor group if
-  // ranks died. The retried pass rebins each rank's doubling histograms onto
-  // the freshly agreed ranges — rebinning conserves mass, so a second pass
-  // over already-rebinned state is harmless.
-  int attempt = 0;
-  bool recover = false;
-  for (;;) {
-    try {
-      if (recover) {
-        recover = false;
-        const double pause_ms = comm::backoff_ms(
-            params_.recovery, attempt - 1,
-            static_cast<std::uint64_t>(ctx.comm().rank()));
-        if (pause_ms > 0.0) {
-          std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-              pause_ms));
-        }
-        ctx.shrink_to_survivors();
-        if (ctx.is_root()) ctx.tracer().counter("fit_retries", 1.0);
-      }
-      return refit_once(ctx);
-    } catch (const comm::FitAbortedError&) {
-      throw;
-    } catch (const comm::CommError& e) {
-      if (attempt >= params_.max_shrink_retries) {
-        ctx.log().error("refit_abandoned",
-                        {{"kind", comm::error_kind(e)},
-                         {"attempts", std::to_string(attempt)}});
-        throw comm::FitAbortedError(
-            std::string("refit aborted after ") + std::to_string(attempt) +
-                " retries; last failure [" + comm::error_kind(e) +
-                "]: " + e.what(),
-            attempt, comm::error_kind(e));
-      }
-      ++attempt;
-      recover = true;
-      ctx.metrics().add("fit_retries");
-      ctx.log().warn("refit_retry", {{"kind", comm::error_kind(e)},
-                                     {"attempt", std::to_string(attempt)},
-                                     {"what", e.what()}});
-    }
-  }
+  // A retried pass rebins each rank's doubling histograms onto the freshly
+  // agreed ranges — rebinning conserves mass, so a second pass over
+  // already-rebinned state is harmless.
+  run_with_recovery(ctx, params_, "refit", [&] { refit_once(ctx); });
+  return *model_;
 }
 
 const Model& StreamingKeyBin2::refit(comm::Communicator& comm) {

@@ -12,12 +12,19 @@
 //   ├── MetricsRegistry     — counters/gauges/latency histograms + traffic
 //   │                         matrix (populated once enable_comm_metrics())
 //   ├── EventLog            — structured events (silent until a sink is set)
-//   └── Timeline            — span/flow capture for Perfetto export
-//                             (allocated by enable_timeline())
+//   └── optional planes, each switched on by its enable_*() call:
+//       Timeline, HealthMonitor, profile::Profiler, flight::FlightRecorder
 //
 // Every clustering driver (batch fit, streaming refit, out-of-core,
 // md::insitu) executes its stages against a Context, so timing,
 // communication volume, and randomness are owned in exactly one place.
+//
+// The Context is the only place that knows which planes are on. A plane
+// that needs a sibling looks it up through its owning Context when it uses
+// it (the profiler asks for the timeline at stop(); the comm probe below
+// asks for it at every message), and the health monitor and the profiler
+// read waits and anomaly counts from the registry — so the planes may be
+// enabled in any order.
 #pragma once
 
 #include <chrono>
@@ -27,17 +34,19 @@
 #include "comm/communicator.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "common/timer.hpp"
 #include "runtime/flight/flight.hpp"
 #include "runtime/health.hpp"
 #include "runtime/log.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/profile/profiler.hpp"
+#include "runtime/segment.hpp"
 #include "runtime/timeline.hpp"
 #include "runtime/tracer.hpp"
 
 namespace keybin2::runtime {
 
-class Context {
+class Context : private comm::CommProbe {
  public:
   /// Distributed context: borrow this rank's communicator endpoint (the
   /// caller — typically run_ranks() — keeps it alive for the context's
@@ -57,15 +66,18 @@ class Context {
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
-  ~Context() {
+  ~Context() override {
     // The communicator may be borrowed and outlive us; never leave it
-    // holding a probe into this context's (about to die) monitor.
-    if (monitor_ != nullptr) comm_->set_probe(nullptr);
+    // holding hooks into this (about to die) context.
+    if (comm_metrics_) comm_->set_probe(nullptr);
     if (flight_ != nullptr) comm_->set_flight_hook(nullptr);
-    // The profiler dies before the tracer (reverse declaration order);
-    // detach it so a scope racing destruction can't call a dead observer.
+    // Detach the observers so a scope racing destruction can't call a dead
+    // one, and stop the profiler now: its final flush reads the
+    // communicator, registry and timeline through this context, and the
+    // subgroups it may be using die before it in member order.
     if (profiler_ != nullptr) tracer_.remove_observer(profiler_.get());
     if (flight_ != nullptr) tracer_.remove_observer(flight_.get());
+    profiler_.reset();
   }
 
   comm::Communicator& comm() { return *comm_; }
@@ -85,12 +97,13 @@ class Context {
   /// Non-null once enable_timeline() was called.
   Timeline* timeline() { return timeline_.get(); }
 
-  /// Start deep comm instrumentation: attach a probe feeding this context's
-  /// MetricsRegistry with the per-(peer, tag) traffic matrix, recv/barrier
-  /// wait histograms, and mailbox depth gauges. Idempotent.
+  /// Start deep comm instrumentation: this context becomes the
+  /// communicator's probe and feeds its MetricsRegistry with the per-(peer,
+  /// tag) traffic matrix, recv/barrier wait histograms, and mailbox depth
+  /// gauges (plus flow events, once the timeline is on). Idempotent.
   void enable_comm_metrics() {
-    if (monitor_ == nullptr) monitor_ = std::make_unique<CommMonitor>(&metrics_);
-    comm_->set_probe(monitor_.get());
+    comm_->set_probe(this);
+    comm_metrics_ = true;
   }
 
   /// Start timeline capture: tracer scopes become spans, and (via the comm
@@ -104,24 +117,22 @@ class Context {
       // lane so incarnations stay aligned in merged traces.
       timeline_->set_incarnation(comm_->incarnation());
       timeline_->set_epoch_ns(now_ns());
+      tracer_.set_timeline(timeline_.get());
     }
-    tracer_.set_timeline(timeline_.get());
     enable_comm_metrics();
-    monitor_->set_timeline(timeline_.get());
   }
 
   /// Start live health monitoring: an EWMA-baseline HealthMonitor observes
-  /// every tracer scope close and (via the comm probe, enabled as a side
-  /// effect) every recv/barrier wait, emitting stage_latency_anomaly /
-  /// wait_ratio_anomaly events into this context's EventLog. Idempotent;
-  /// the config of the first call wins.
+  /// every tracer scope close and, through the registry's wait histograms
+  /// (the comm probe is enabled as a side effect), every recv/barrier wait,
+  /// emitting stage_latency_anomaly / wait_ratio_anomaly events into this
+  /// context's EventLog. Idempotent; the config of the first call wins.
   void enable_health_monitor(HealthConfig config = {}) {
     if (health_ == nullptr) {
       health_ = std::make_unique<HealthMonitor>(&log_, &metrics_, config);
+      tracer_.add_observer(health_.get());
     }
-    tracer_.add_observer(health_.get());
     enable_comm_metrics();
-    monitor_->set_health(health_.get());
   }
 
   /// Non-null once enable_health_monitor() was called.
@@ -131,43 +142,35 @@ class Context {
   /// the tracer's stage scopes, per-stage hardware counters (degrading to
   /// timing-only where perf_event_open is refused), and — when `slot` is
   /// non-null — live telemetry publishes into that slot of the launcher's
-  /// TelemetrySegment. Deep comm metrics come on as a side effect (the
-  /// telemetry wait ratio needs the wait histograms). Idempotent; the
-  /// config of the first call wins. The profiler flushes its gauges and
-  /// density counters at stop() — called here from the Context destructor
-  /// path via ~Profiler, or explicitly for mid-run reports.
+  /// RankSegment. Deep comm metrics come on as a side effect (the telemetry
+  /// wait ratio needs the wait histograms). Idempotent; the config and slot
+  /// of the first call win. The profiler flushes its gauges and density
+  /// counters at stop() — called from the Context destructor, or explicitly
+  /// for mid-run reports.
   void enable_profiler(profile::ProfilerConfig config = {},
                        profile::TelemetrySlot* slot = nullptr) {
     if (profiler_ == nullptr) {
-      profiler_ = std::make_unique<profile::Profiler>(comm_, &metrics_, &log_,
-                                                      config);
+      profiler_ = std::make_unique<profile::Profiler>(*this, config, slot);
       tracer_.add_observer(profiler_.get());
     }
     enable_comm_metrics();
-    if (timeline_ != nullptr) profiler_->set_timeline(timeline_.get());
-    if (health_ != nullptr) profiler_->set_health(health_.get());
-    if (flight_ != nullptr) profiler_->set_flight(flight_.get());
-    if (slot != nullptr) profiler_->set_telemetry_slot(slot);
     profiler_->start();
   }
 
   /// Non-null once enable_profiler() was called.
   profile::Profiler* profiler() { return profiler_.get(); }
 
-  /// Attach this rank to the launcher's pre-fork flight-recorder segment
-  /// (DESIGN.md §10): stage transitions (tracer observer) and comm op
-  /// begin/end (FlightHook on the communicator) stream into the rank's
-  /// black-box ring, which the supervisor dumps on abnormal death.
+  /// Attach this rank to the flight rings of the launcher's pre-fork
+  /// RankSegment (DESIGN.md §10): stage transitions (tracer observer) and
+  /// comm op begin/end (FlightHook on the communicator) stream into the
+  /// rank's black-box ring, which the supervisor dumps on abnormal death.
   /// Idempotent; the first segment wins.
-  void enable_flight_recorder(flight::FlightSegment* seg) {
-    if (seg == nullptr) return;
-    if (flight_ == nullptr) {
-      flight_ = std::make_unique<flight::FlightRecorder>(
-          seg, comm_->rank(), comm_->incarnation());
-      tracer_.add_observer(flight_.get());
-    }
+  void enable_flight_recorder(RankSegment* segment) {
+    if (segment == nullptr || flight_ != nullptr) return;
+    flight_ = std::make_unique<flight::FlightRecorder>(
+        segment, comm_->rank(), comm_->incarnation());
+    tracer_.add_observer(flight_.get());
     comm_->set_flight_hook(flight_.get());
-    if (profiler_ != nullptr) profiler_->set_flight(flight_.get());
   }
 
   /// Non-null once enable_flight_recorder() was called.
@@ -247,6 +250,29 @@ class Context {
   int excluded_ranks() const { return excluded_ranks_; }
 
  private:
+  // comm::CommProbe, attached by enable_comm_metrics(): every completed
+  // send/recv/barrier lands in the registry and, once the timeline is on,
+  // on it as a flow endpoint or a wait.
+  void on_send(int, int dest, int tag, std::size_t bytes,
+               std::uint64_t flow_id, std::size_t queue_depth) override {
+    metrics_.record_send(dest, tag, bytes, queue_depth);
+    if (timeline_ != nullptr) {
+      timeline_->add_flow(flow_id, now_ns(), /*start=*/true, dest, tag, bytes);
+    }
+  }
+  void on_recv(int, int src, int tag, std::size_t bytes, std::uint64_t flow_id,
+               std::int64_t wait_ns) override {
+    metrics_.record_recv(src, tag, bytes, wait_ns);
+    if (timeline_ != nullptr) {
+      timeline_->add_flow(flow_id, now_ns(), /*start=*/false, src, tag, bytes,
+                          wait_ns);
+    }
+  }
+  void on_barrier(int, std::int64_t wait_ns) override {
+    metrics_.record_barrier(wait_ns);
+    if (timeline_ != nullptr) timeline_->add_wait("barrier", now_ns(), wait_ns);
+  }
+
   std::unique_ptr<comm::Communicator> owned_comm_;  // serial mode only
   comm::Communicator* comm_;
   ThreadPool* pool_;
@@ -256,7 +282,7 @@ class Context {
   EventLog log_;
   std::unique_ptr<Timeline> timeline_;
   std::unique_ptr<HealthMonitor> health_;
-  std::unique_ptr<CommMonitor> monitor_;
+  bool comm_metrics_ = false;  // this context is the communicator's probe
   std::unique_ptr<profile::Profiler> profiler_;
   std::unique_ptr<flight::FlightRecorder> flight_;
   std::vector<std::unique_ptr<comm::SubgroupComm>> subgroups_;

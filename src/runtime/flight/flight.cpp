@@ -1,5 +1,6 @@
 #include "runtime/flight/flight.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -10,42 +11,9 @@
 #include "common/serialize.hpp"
 #include "common/timer.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#endif
-
 namespace keybin2::runtime::flight {
 
 namespace {
-
-// Same seqlock discipline as the telemetry segment: every shared word is
-// touched through atomic_ref over plain PODs, so the structs stay trivially
-// shareable across fork while reads/writes get real memory ordering.
-std::uint64_t load_u64(const std::uint64_t& w, std::memory_order mo) {
-  return std::atomic_ref<const std::uint64_t>(w).load(mo);
-}
-void store_u64(std::uint64_t& w, std::uint64_t v, std::memory_order mo) {
-  std::atomic_ref<std::uint64_t>(w).store(v, mo);
-}
-std::uint32_t load_u32(const std::uint32_t& w, std::memory_order mo) {
-  return std::atomic_ref<const std::uint32_t>(w).load(mo);
-}
-void store_u32(std::uint32_t& w, std::uint32_t v, std::memory_order mo) {
-  std::atomic_ref<std::uint32_t>(w).store(v, mo);
-}
-
-constexpr std::size_t kControlBytes =
-    (sizeof(SegmentControl) + 63) & ~std::size_t{63};
-
-std::size_t rank_stride(std::uint32_t slots) {
-  return sizeof(RankControl) + static_cast<std::size_t>(slots) *
-                                   sizeof(FlightRecord);
-}
-
-std::size_t segment_bytes(int n_ranks, std::uint32_t slots) {
-  return kControlBytes + static_cast<std::size_t>(n_ranks) *
-                             rank_stride(slots);
-}
 
 // "KB2FLT01" little-endian.
 constexpr std::uint64_t kDumpMagic = 0x3130544c46324b42ull;
@@ -62,109 +30,32 @@ constexpr std::size_t kDumpHeaderBytes = 8 + 4 + 8 + 4;
 
 }  // namespace
 
-// ---- FlightSegment ----
-
-FlightSegment::FlightSegment(int n_ranks, const std::string& job,
-                             std::uint32_t slots_per_rank) {
-  KB2_CHECK_MSG(n_ranks >= 1, "flight segment needs at least one rank");
-  KB2_CHECK_MSG(slots_per_rank >= 8,
-                "flight ring needs at least 8 slots, got " << slots_per_rank);
-  bytes_ = segment_bytes(n_ranks, slots_per_rank);
-#if defined(__unix__) || defined(__APPLE__)
-  void* base = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  KB2_CHECK_MSG(base != MAP_FAILED, "flight segment mmap failed ("
-                                        << bytes_ << " bytes)");
-  base_ = base;
-  mapped_ = true;
-#else
-  base_ = ::operator new(bytes_);
-  mapped_ = false;
-#endif
-  std::memset(base_, 0, bytes_);
-  auto* ctl = static_cast<SegmentControl*>(base_);
-  ctl->n_ranks = static_cast<std::uint32_t>(n_ranks);
-  ctl->slots_per_rank = slots_per_rank;
-  ctl->version = kVersion;
-  ctl->created_ns = now_ns();
-  const std::size_t n = std::min(job.size(), sizeof(ctl->job) - 1);
-  std::memcpy(ctl->job, job.data(), n);
-}
-
-FlightSegment::~FlightSegment() {
-  if (base_ == nullptr) return;
-#if defined(__unix__) || defined(__APPLE__)
-  if (mapped_) {
-    ::munmap(base_, bytes_);
-    return;
-  }
-#endif
-  ::operator delete(base_);
-}
-
-SegmentControl* FlightSegment::control() const {
-  return static_cast<SegmentControl*>(base_);
-}
-
-int FlightSegment::n_ranks() const {
-  return static_cast<int>(control()->n_ranks);
-}
-
-std::uint32_t FlightSegment::slots_per_rank() const {
-  return control()->slots_per_rank;
-}
-
-RankControl* FlightSegment::rank_control(int rank) const {
-  char* p = static_cast<char*>(base_) + kControlBytes +
-            static_cast<std::size_t>(rank) * rank_stride(slots_per_rank());
-  return reinterpret_cast<RankControl*>(p);
-}
-
-FlightRecord* FlightSegment::slots(int rank) const {
-  return reinterpret_cast<FlightRecord*>(
-      reinterpret_cast<char*>(rank_control(rank)) + sizeof(RankControl));
-}
-
-void FlightSegment::freeze() {
-  store_u32(control()->frozen, 1, std::memory_order_release);
-}
-
-void FlightSegment::unfreeze() {
-  store_u32(control()->frozen, 0, std::memory_order_release);
-}
-
-bool FlightSegment::frozen() const {
-  return load_u32(control()->frozen, std::memory_order_acquire) != 0;
-}
-
 // ---- FlightWriter ----
 
-FlightWriter::FlightWriter(FlightSegment* seg, int rank, int incarnation)
+FlightWriter::FlightWriter(RankSegment* seg, int rank, int incarnation)
     : seg_(seg),
       ctl_(seg->rank_control(rank)),
-      slots_(seg->slots(rank)),
+      slots_(seg->ring(rank)),
       n_slots_(seg->slots_per_rank()),
       incarnation_(static_cast<std::uint32_t>(incarnation)) {
   // Stamp the binding: which incarnation writes from which epoch. Published
   // before any record so a dump taken mid-bind still attributes correctly.
-  store_u32(ctl_->incarnation, incarnation_, std::memory_order_relaxed);
-  std::atomic_ref<std::int64_t>(ctl_->epoch_ns)
-      .store(now_ns(), std::memory_order_relaxed);
-  store_u32(ctl_->bound, 1, std::memory_order_release);
+  store_shared(ctl_->incarnation, incarnation_, std::memory_order_relaxed);
+  store_shared(ctl_->epoch_ns, now_ns(), std::memory_order_relaxed);
+  store_shared(ctl_->bound, 1, std::memory_order_release);
 }
 
 void FlightWriter::record(EventType type, EventPhase phase, int peer, int tag,
-                          std::uint64_t bytes, const char* detail) {
-  if (seg_ == nullptr) return;
-  if (load_u32(seg_->control()->frozen, std::memory_order_relaxed) != 0) {
-    store_u64(ctl_->dropped,
-              load_u64(ctl_->dropped, std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
+                          std::uint64_t bytes, std::string_view detail) {
+  if (seg_->frozen()) {
+    store_shared(ctl_->dropped,
+                 load_shared(ctl_->dropped, std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
     return;
   }
-  const std::uint64_t pos = load_u64(ctl_->head, std::memory_order_relaxed);
+  const std::uint64_t pos = load_shared(ctl_->head, std::memory_order_relaxed);
   FlightRecord& r = slots_[pos % n_slots_];
-  store_u64(r.seq, 2 * pos + 1, std::memory_order_relaxed);
+  store_shared(r.seq, 2 * pos + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
   r.t_ns = now_ns();
   r.incarnation = incarnation_;
@@ -174,38 +65,31 @@ void FlightWriter::record(EventType type, EventPhase phase, int peer, int tag,
   r.peer = peer;
   r.tag = tag;
   r.bytes = bytes;
-  std::memset(r.detail, 0, sizeof(r.detail));
-  if (detail != nullptr) {
-    // Keep the *tail* of long labels: "fit/trial3/bin" truncates to the
-    // informative end, not the shared prefix.
-    std::size_t len = std::strlen(detail);
-    const char* src = detail;
-    if (len > sizeof(r.detail) - 1) {
-      src += len - (sizeof(r.detail) - 1);
-      len = sizeof(r.detail) - 1;
-    }
-    std::memcpy(r.detail, src, len);
+  // Keep the *tail* of long labels: "fit/trial3/bin" truncates to the
+  // informative end, not the shared prefix.
+  if (detail.size() > sizeof(r.detail) - 1) {
+    detail.remove_prefix(detail.size() - (sizeof(r.detail) - 1));
   }
+  std::memset(r.detail, 0, sizeof(r.detail));
+  std::copy(detail.begin(), detail.end(), r.detail);
   std::atomic_thread_fence(std::memory_order_release);
-  store_u64(r.seq, 2 * pos + 2, std::memory_order_release);
-  store_u64(ctl_->head, pos + 1, std::memory_order_release);
+  store_shared(r.seq, 2 * pos + 2, std::memory_order_release);
+  store_shared(ctl_->head, pos + 1, std::memory_order_release);
 }
 
 // ---- FlightRecorder ----
 
-FlightRecorder::FlightRecorder(FlightSegment* seg, int rank, int incarnation)
+FlightRecorder::FlightRecorder(RankSegment* seg, int rank, int incarnation)
     : writer_(seg, rank, incarnation) {}
 
 void FlightRecorder::on_scope_open(std::string_view path) {
-  const std::string p(path);
-  writer_.record(EventType::kStage, EventPhase::kBegin, -1, -1, 0, p.c_str());
+  writer_.record(EventType::kStage, EventPhase::kBegin, -1, -1, 0, path);
 }
 
 void FlightRecorder::on_scope_close(std::string_view path,
                                     std::int64_t wall_ns) {
-  const std::string p(path);
   writer_.record(EventType::kStage, EventPhase::kEnd, -1, -1,
-                 static_cast<std::uint64_t>(wall_ns), p.c_str());
+                 static_cast<std::uint64_t>(wall_ns), path);
 }
 
 namespace {
@@ -220,14 +104,14 @@ EventType op_type(comm::FlightHook::Op op) {
 }  // namespace
 
 void FlightRecorder::on_op_begin(Op op, int peer, int tag, std::size_t bytes) {
-  writer_.record(op_type(op), EventPhase::kBegin, peer, tag, bytes, nullptr);
+  writer_.record(op_type(op), EventPhase::kBegin, peer, tag, bytes, {});
 }
 
 void FlightRecorder::on_op_end(Op op, int peer, int tag, std::size_t bytes) {
-  writer_.record(op_type(op), EventPhase::kEnd, peer, tag, bytes, nullptr);
+  writer_.record(op_type(op), EventPhase::kEnd, peer, tag, bytes, {});
 }
 
-void FlightRecorder::event(EventType type, const char* detail,
+void FlightRecorder::event(EventType type, std::string_view detail,
                            std::uint64_t bytes) {
   writer_.record(type, EventPhase::kPoint, -1, -1, bytes, detail);
 }
@@ -239,22 +123,22 @@ namespace {
 /// Seqlock-validated snapshot of one ring's valid tail, oldest first. Torn
 /// or lapped slots (seq != 2*pos+2) are simply skipped: the writer may have
 /// been killed mid-slot, which is exactly the case this code serves.
-std::vector<FlightRecord> snapshot_ring(const FlightSegment& seg, int rank) {
+std::vector<FlightRecord> snapshot_ring(const RankSegment& seg, int rank) {
   const RankControl* ctl = seg.rank_control(rank);
-  const FlightRecord* slots = seg.slots(rank);
+  const FlightRecord* slots = seg.ring(rank);
   const std::uint32_t n = seg.slots_per_rank();
-  const std::uint64_t head = load_u64(ctl->head, std::memory_order_acquire);
+  const std::uint64_t head = load_shared(ctl->head, std::memory_order_acquire);
   const std::uint64_t lo = head > n ? head - n : 0;
   std::vector<FlightRecord> out;
   out.reserve(static_cast<std::size_t>(head - lo));
   for (std::uint64_t pos = lo; pos < head; ++pos) {
     const FlightRecord& slot = slots[pos % n];
-    const std::uint64_t s1 = load_u64(slot.seq, std::memory_order_acquire);
+    const std::uint64_t s1 = load_shared(slot.seq, std::memory_order_acquire);
     if (s1 != 2 * pos + 2) continue;
     FlightRecord copy;
     std::memcpy(&copy, &slot, sizeof(copy));
     std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t s2 = load_u64(slot.seq, std::memory_order_acquire);
+    const std::uint64_t s2 = load_shared(slot.seq, std::memory_order_acquire);
     if (s2 != s1) continue;
     out.push_back(copy);
   }
@@ -289,11 +173,11 @@ FlightRecord read_record(ByteReader& r) {
 
 }  // namespace
 
-void write_flight_dump(const std::string& path, const FlightSegment& seg,
+void write_flight_dump(const std::string& path, const RankSegment& seg,
                        const std::string& reason,
                        std::span<const FlightDeath> deaths) {
   ByteWriter payload;
-  payload.write_string(std::string(seg.control()->job));
+  payload.write_string(std::string(seg.header().job));
   payload.write_string(reason);
   payload.write<std::int64_t>(now_ns());
   const int n = seg.n_ranks();
@@ -302,12 +186,12 @@ void write_flight_dump(const std::string& path, const FlightSegment& seg,
     const RankControl* ctl = seg.rank_control(r);
     payload.write<std::int32_t>(r);
     payload.write<std::uint32_t>(
-        load_u32(ctl->incarnation, std::memory_order_acquire));
+        load_shared(ctl->incarnation, std::memory_order_acquire));
     payload.write<std::int64_t>(ctl->epoch_ns);
-    payload.write<std::uint64_t>(load_u64(ctl->head,
-                                          std::memory_order_acquire));
-    payload.write<std::uint64_t>(load_u64(ctl->dropped,
-                                          std::memory_order_relaxed));
+    payload.write<std::uint64_t>(
+        load_shared(ctl->head, std::memory_order_acquire));
+    payload.write<std::uint64_t>(
+        load_shared(ctl->dropped, std::memory_order_relaxed));
     const FlightDeath* death = nullptr;
     for (const FlightDeath& d : deaths) {
       if (d.rank == r) death = &d;

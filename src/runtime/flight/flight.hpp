@@ -1,12 +1,12 @@
 // Crash-forensics flight recorder (DESIGN.md §10).
 //
-// Every rank owns a fixed-size ring of 64-byte FlightRecords in a shared
-// mapping created by the launcher *before* any fork, so forked ranks (and
-// their respawned incarnations) inherit the same memory and the supervisor
-// can still read a rank's trail after SIGKILL. Records cover stage
-// transitions (via the Tracer's ScopeObserver), comm operations (begin/end
-// from the comm::FlightHook seam — an unmatched begin is the in-flight
-// evidence), checkpoint/recovery events, and mailbox-depth snapshots.
+// Every rank owns a fixed-size ring of 64-byte FlightRecords in the launch's
+// RankSegment (runtime/segment.hpp), created *before* any fork, so forked
+// ranks (and their respawned incarnations) inherit the same memory and the
+// supervisor can still read a rank's trail after SIGKILL. Records cover
+// stage transitions (via the Tracer's ScopeObserver), comm operations
+// (begin/end from the comm::FlightHook seam — an unmatched begin is the
+// in-flight evidence), and checkpoint/recovery events.
 //
 // Signal-safety argument: record() performs only std::atomic_ref stores over
 // plain POD fields plus one clock_gettime — no locks, no allocation, no
@@ -16,9 +16,10 @@
 // 2*pos+2 when record `pos` is complete); a reader that snapshots
 // concurrently drops torn or overwritten slots instead of blocking.
 //
-// On abnormal death the supervisor freezes all rings (one shared flag every
-// writer polls) and serializes them into a versioned, CRC-checked dump file
-// with the same container discipline as core/checkpoint:
+// On abnormal death the supervisor freezes all rings (the segment's frozen
+// flag, which every writer polls) and serializes them into a versioned,
+// CRC-checked dump file with the same container discipline as
+// core/checkpoint:
 //   [u64 magic][u32 version][u64 payload_size][u32 crc32][payload]
 // kb2_postmortem reads the dump and reconstructs the cross-rank story.
 #pragma once
@@ -27,10 +28,12 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "common/error.hpp"
+#include "runtime/segment.hpp"
 #include "runtime/tracer.hpp"
 
 namespace keybin2::runtime::flight {
@@ -44,7 +47,8 @@ enum class EventType : std::uint8_t {
   kAgree = 4,      // survivor agreement
   kCheckpoint = 5, // checkpoint written/restored (detail says which)
   kRecovery = 6,   // shrink/regrow/retry ladder event (detail says which)
-  kMailbox = 7,    // mailbox-depth snapshot (bytes = depth)
+  kMailbox = 7,    // mailbox depth (bytes = depth); no longer written, kept
+                   // so older dumps still parse
 };
 
 enum class EventPhase : std::uint8_t {
@@ -85,68 +89,21 @@ struct alignas(64) RankControl {
 };
 static_assert(sizeof(RankControl) == 64);
 
-/// Segment-wide control block.
-struct SegmentControl {
-  std::uint32_t n_ranks;
-  std::uint32_t slots_per_rank;
-  std::uint32_t frozen;  // atomic_ref; writers drop records once set
-  std::uint32_t version;
-  std::int64_t created_ns;
-  char job[64];
-};
-
-/// The pre-fork shared mapping: [SegmentControl][per-rank RankControl +
-/// slots]. Created with MAP_SHARED|MAP_ANONYMOUS (no name to leak, no
-/// unlink path to race) so fork() children inherit it at the same address;
-/// under the thread backend every rank simply writes its own region.
-class FlightSegment {
- public:
-  static constexpr std::uint32_t kVersion = 1;
-  static constexpr std::uint32_t kDefaultSlots = 1024;
-
-  FlightSegment(int n_ranks, const std::string& job,
-                std::uint32_t slots_per_rank = kDefaultSlots);
-  ~FlightSegment();
-  FlightSegment(const FlightSegment&) = delete;
-  FlightSegment& operator=(const FlightSegment&) = delete;
-
-  int n_ranks() const;
-  std::uint32_t slots_per_rank() const;
-
-  /// Stop every writer (they observe the flag on their next record and bump
-  /// `dropped` instead). Safe from any process sharing the mapping.
-  void freeze();
-  /// Re-arm writers after a dump — the supervisor snapshots the death moment
-  /// and lets a respawned incarnation keep recording.
-  void unfreeze();
-  bool frozen() const;
-
-  SegmentControl* control() const;
-  RankControl* rank_control(int rank) const;
-  FlightRecord* slots(int rank) const;
-
- private:
-  void* base_ = nullptr;
-  std::size_t bytes_ = 0;
-  bool mapped_ = false;  // heap fallback on platforms without mmap
-};
-
 /// Lock-free single-writer handle for one rank's ring. Binding stamps the
 /// control block with (incarnation, epoch_ns); record() publishes one slot.
 class FlightWriter {
  public:
-  FlightWriter() = default;
-  FlightWriter(FlightSegment* seg, int rank, int incarnation);
-
-  bool bound() const { return seg_ != nullptr; }
+  FlightWriter(RankSegment* seg, int rank, int incarnation);
 
   /// Async-signal-safe: atomic_ref stores over shared POD plus one
-  /// monotonic-clock read. Drops (and counts) the record while frozen.
+  /// monotonic-clock read, no allocation. Keeps the tail of a `detail`
+  /// longer than the record holds. Drops (and counts) the record while
+  /// frozen.
   void record(EventType type, EventPhase phase, int peer, int tag,
-              std::uint64_t bytes, const char* detail);
+              std::uint64_t bytes, std::string_view detail);
 
  private:
-  FlightSegment* seg_ = nullptr;
+  RankSegment* seg_ = nullptr;
   RankControl* ctl_ = nullptr;
   FlightRecord* slots_ = nullptr;
   std::uint32_t n_slots_ = 0;
@@ -157,7 +114,7 @@ class FlightWriter {
 /// plus the comm FlightHook (op begin/end), both writing the same ring.
 class FlightRecorder final : public ScopeObserver, public comm::FlightHook {
  public:
-  FlightRecorder(FlightSegment* seg, int rank, int incarnation);
+  FlightRecorder(RankSegment* seg, int rank, int incarnation);
 
   // Stage transitions.
   void on_scope_open(std::string_view path) override;
@@ -167,10 +124,9 @@ class FlightRecorder final : public ScopeObserver, public comm::FlightHook {
   void on_op_begin(Op op, int peer, int tag, std::size_t bytes) override;
   void on_op_end(Op op, int peer, int tag, std::size_t bytes) override;
 
-  /// Checkpoint / recovery / mailbox-depth point events.
-  void event(EventType type, const char* detail, std::uint64_t bytes = 0);
-
-  FlightWriter& writer() { return writer_; }
+  /// Checkpoint / recovery point events.
+  void event(EventType type, std::string_view detail,
+             std::uint64_t bytes = 0);
 
  private:
   FlightWriter writer_;
@@ -226,7 +182,7 @@ class FlightDumpError final : public Error {
 /// Snapshot every ring (seqlock-validated, torn slots dropped) and write the
 /// CRC-checked dump. The caller freezes first if it wants a consistent
 /// death-moment snapshot; a concurrent writer only costs dropped slots.
-void write_flight_dump(const std::string& path, const FlightSegment& seg,
+void write_flight_dump(const std::string& path, const RankSegment& seg,
                        const std::string& reason,
                        std::span<const FlightDeath> deaths);
 

@@ -27,8 +27,12 @@ std::string HealthMonitor::baseline_key(std::string_view path) {
   return fold_scope_path(path);
 }
 
+std::int64_t HealthMonitor::blocked_ns() const {
+  return metrics_ != nullptr ? metrics_->blocked_ns() : 0;
+}
+
 void HealthMonitor::on_scope_open(std::string_view path) {
-  open_.push_back(OpenScope{baseline_key(path), total_wait_ns_});
+  open_.push_back(OpenScope{baseline_key(path), blocked_ns()});
 }
 
 void HealthMonitor::on_scope_close(std::string_view path,
@@ -36,7 +40,7 @@ void HealthMonitor::on_scope_close(std::string_view path,
   const std::string key = baseline_key(path);
   std::int64_t wait_ns = 0;
   if (!open_.empty() && open_.back().key == key) {
-    wait_ns = total_wait_ns_ - open_.back().wait_at_open;
+    wait_ns = blocked_ns() - open_.back().blocked_at_open;
     open_.pop_back();
   } else {
     // Attached mid-run: this close has no recorded open. Drop any stale

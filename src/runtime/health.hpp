@@ -11,16 +11,19 @@
 //     scopes ("fit/trial3/bin" folds to "fit/trial*/bin") build an EWMA
 //     baseline; a close that exceeds `latency_factor` x baseline after
 //     warmup emits a "stage_latency_anomaly" event.
-//   * Comm waits (record_wait, fed by CommMonitor) — recv/barrier blocked
-//     time. Each scope close also checks the fraction of its wall spent
-//     blocked against an EWMA wait-ratio baseline; a jump beyond
-//     `wait_ratio_slack` emits "wait_ratio_anomaly".
+//   * Comm waits — recv/barrier blocked time, read from the registry's
+//     "recv_wait" + "barrier_wait" histograms (MetricsRegistry::blocked_ns,
+//     filled by the owning Context's comm probe). Each scope close also
+//     checks the fraction of its wall spent blocked against an EWMA
+//     wait-ratio baseline; a jump beyond `wait_ratio_slack` emits
+//     "wait_ratio_anomaly".
 //
 // Both events carry the stage, the observed value, and the baseline, so a
 // degraded run under fault injection is visible in the JSONL log as it
 // happens, not just in the post-mortem report. Anomaly counts also land in
 // the MetricsRegistry ("health_latency_anomalies" / "health_wait_anomalies")
-// so merged metrics show which rank saw them.
+// so merged metrics show which rank saw them, and the profiler publishes
+// their sum to telemetry.
 //
 // Single-writer like the Tracer: all calls arrive on the owning rank's
 // thread.
@@ -53,9 +56,6 @@ class HealthMonitor final : public ScopeObserver {
                 HealthConfig config = {})
       : log_(log), metrics_(metrics), config_(config) {}
 
-  /// A recv or barrier blocked for `wait_ns` (fed by CommMonitor).
-  void record_wait(std::int64_t wait_ns) { total_wait_ns_ += wait_ns; }
-
   // ScopeObserver:
   void on_scope_open(std::string_view path) override;
   void on_scope_close(std::string_view path, std::int64_t wall_ns) override;
@@ -76,13 +76,14 @@ class HealthMonitor final : public ScopeObserver {
 
   struct OpenScope {
     std::string key;
-    std::int64_t wait_at_open = 0;
+    std::int64_t blocked_at_open = 0;
   };
+
+  std::int64_t blocked_ns() const;
 
   EventLog* log_;
   MetricsRegistry* metrics_;
   HealthConfig config_;
-  std::int64_t total_wait_ns_ = 0;
   std::vector<OpenScope> open_;
   std::map<std::string, Baseline> baselines_;
   std::uint64_t anomalies_ = 0;

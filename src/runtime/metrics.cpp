@@ -8,10 +8,7 @@
 #include <set>
 
 #include "common/serialize.hpp"
-#include "common/timer.hpp"
-#include "runtime/health.hpp"
 #include "runtime/json.hpp"
-#include "runtime/timeline.hpp"
 
 namespace keybin2::runtime {
 
@@ -122,6 +119,20 @@ void MetricsRegistry::record_barrier(std::int64_t wait_ns) {
   histogram("barrier_wait").record(wait_ns);
 }
 
+std::uint64_t MetricsRegistry::counter(std::string_view name) const {
+  const auto it = counters_.find(std::string(name));
+  return it != counters_.end() ? it->second : 0;
+}
+
+std::int64_t MetricsRegistry::blocked_ns() const {
+  std::int64_t sum = 0;
+  for (const char* name : {"recv_wait", "barrier_wait"}) {
+    const auto it = histograms_.find(name);
+    if (it != histograms_.end()) sum = saturating_add(sum, it->second.sum_ns());
+  }
+  return sum;
+}
+
 bool MetricsRegistry::empty() const {
   return counters_.empty() && gauges_.empty() && histograms_.empty() &&
          sent_.empty() && received_.empty();
@@ -133,37 +144,6 @@ void MetricsRegistry::reset() {
   histograms_.clear();
   sent_.clear();
   received_.clear();
-}
-
-// ---- CommMonitor ----
-
-void CommMonitor::on_send(int self, int dest, int tag, std::size_t bytes,
-                          std::uint64_t flow_id, std::size_t queue_depth) {
-  (void)self;
-  registry_->record_send(dest, tag, bytes, queue_depth);
-  if (timeline_ != nullptr) {
-    timeline_->add_flow(flow_id, now_ns(), /*start=*/true, dest, tag, bytes);
-  }
-}
-
-void CommMonitor::on_recv(int self, int src, int tag, std::size_t bytes,
-                          std::uint64_t flow_id, std::int64_t wait_ns) {
-  (void)self;
-  registry_->record_recv(src, tag, bytes, wait_ns);
-  if (timeline_ != nullptr) {
-    timeline_->add_flow(flow_id, now_ns(), /*start=*/false, src, tag, bytes,
-                        wait_ns);
-  }
-  if (health_ != nullptr) health_->record_wait(wait_ns);
-}
-
-void CommMonitor::on_barrier(int self, std::int64_t wait_ns) {
-  (void)self;
-  registry_->record_barrier(wait_ns);
-  if (timeline_ != nullptr) {
-    timeline_->add_wait("barrier", now_ns(), wait_ns);
-  }
-  if (health_ != nullptr) health_->record_wait(wait_ns);
 }
 
 // ---- merge_metrics / MetricsReport ----

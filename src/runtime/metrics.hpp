@@ -3,11 +3,11 @@
 // mirroring the Tracer's reduce_report.
 //
 // The registry is rank-private (one per Context, written from that rank's
-// thread only — same ownership discipline as Tracer). CommMonitor adapts a
-// registry (plus an optional Timeline) to the comm::CommProbe interface, so
-// attaching it to a communicator populates:
+// thread only — same ownership discipline as Tracer). The owning Context
+// feeds it from the communicator's probe (Context::enable_comm_metrics):
 //   * sent/received traffic per (peer, tag)   — the heatmap's raw data,
-//   * "recv_wait" / "barrier_wait" histograms — time blocked, in ns,
+//   * "recv_wait" / "barrier_wait" histograms — time blocked, in ns, and the
+//     one wait ledger the health monitor and the profiler both read,
 //   * "mailbox_depth" gauge                   — destination backlog at send.
 //
 // merge_metrics() gathers every rank's registry at a root into a
@@ -31,8 +31,6 @@
 namespace keybin2::runtime {
 
 class JsonWriter;
-class Timeline;
-class HealthMonitor;
 
 /// "1.2 KiB"-style rendering shared by trace and metrics tables.
 std::string human_bytes(std::uint64_t bytes);
@@ -51,6 +49,8 @@ class LatencyHistogram {
   std::uint64_t count() const { return count_; }
   std::int64_t min_ns() const { return count_ == 0 ? 0 : min_ns_; }
   std::int64_t max_ns() const { return max_ns_; }
+  /// Sum of every observation (saturating at INT64_MAX).
+  std::int64_t sum_ns() const { return sum_ns_; }
   double mean_ns() const {
     return count_ == 0 ? 0.0
                        : static_cast<double>(sum_ns_) /
@@ -89,11 +89,18 @@ class MetricsRegistry {
   /// Named latency histogram (created on first use).
   LatencyHistogram& histogram(std::string_view name);
 
-  // Comm-side records, fed by CommMonitor.
+  // Comm-side records, fed by the owning Context's comm probe.
   void record_send(int peer, int tag, std::size_t bytes,
                    std::size_t queue_depth);
   void record_recv(int peer, int tag, std::size_t bytes, std::int64_t wait_ns);
   void record_barrier(std::int64_t wait_ns);
+
+  /// Value of counter `name`; 0 if it was never added to.
+  std::uint64_t counter(std::string_view name) const;
+
+  /// Time blocked in recv and barrier so far: the sums of the "recv_wait"
+  /// and "barrier_wait" histograms.
+  std::int64_t blocked_ns() const;
 
   const std::map<std::string, std::uint64_t>& counters() const {
     return counters_;
@@ -119,33 +126,6 @@ class MetricsRegistry {
   std::map<std::string, LatencyHistogram> histograms_;
   std::map<std::pair<int, int>, ChannelTraffic> sent_;
   std::map<std::pair<int, int>, ChannelTraffic> received_;
-};
-
-/// Adapter wiring a communicator's probe callbacks into a registry and, when
-/// attached, a timeline (flow events). The monitor must outlive its
-/// attachment to the communicator.
-class CommMonitor final : public comm::CommProbe {
- public:
-  explicit CommMonitor(MetricsRegistry* registry) : registry_(registry) {}
-
-  /// Also record send/recv flow endpoints (recv side with its blocked-time
-  /// provenance) and barrier waits into `timeline` (nullptr detaches).
-  void set_timeline(Timeline* timeline) { timeline_ = timeline; }
-
-  /// Also feed recv/barrier blocked time into `health` (nullptr detaches),
-  /// so its wait-ratio baselines see the same waits the histograms do.
-  void set_health(HealthMonitor* health) { health_ = health; }
-
-  void on_send(int self, int dest, int tag, std::size_t bytes,
-               std::uint64_t flow_id, std::size_t queue_depth) override;
-  void on_recv(int self, int src, int tag, std::size_t bytes,
-               std::uint64_t flow_id, std::int64_t wait_ns) override;
-  void on_barrier(int self, std::int64_t wait_ns) override;
-
- private:
-  MetricsRegistry* registry_;
-  Timeline* timeline_ = nullptr;
-  HealthMonitor* health_ = nullptr;
 };
 
 /// Cross-rank merge of every rank's registry; valid at the merge root.

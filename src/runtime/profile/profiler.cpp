@@ -1,43 +1,21 @@
 #include "runtime/profile/profiler.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "comm/communicator.hpp"
 #include "common/timer.hpp"
-#include "runtime/flight/flight.hpp"
-#include "runtime/health.hpp"
-#include "runtime/log.hpp"
-#include "runtime/metrics.hpp"
-#include "runtime/timeline.hpp"
+#include "runtime/context.hpp"
 
 namespace keybin2::runtime::profile {
 
-namespace {
-
-/// Sum of a latency histogram's observations in ns (mean * count — the raw
-/// sum is private to the histogram, but this reconstruction is exact enough
-/// for a wait-ratio gauge).
-double histogram_sum_ns(const std::map<std::string, LatencyHistogram>& hs,
-                        const std::string& name) {
-  const auto it = hs.find(name);
-  if (it == hs.end()) return 0.0;
-  return it->second.mean_ns() * static_cast<double>(it->second.count());
+Profiler::Profiler(Context& ctx, ProfilerConfig config, TelemetrySlot* slot)
+    : ctx_(ctx), config_(config), sampler_(&cursor_, &table_, &density_) {
+  if (slot != nullptr) {
+    telemetry_ = std::make_unique<TelemetryPublisher>(
+        slot, config_.telemetry_cadence_ns);
+  }
 }
-
-}  // namespace
-
-Profiler::Profiler(comm::Communicator* comm, MetricsRegistry* metrics,
-                   EventLog* log, ProfilerConfig config)
-    : comm_(comm), metrics_(metrics), log_(log), config_(config),
-      sampler_(&cursor_, &table_, &density_) {}
 
 Profiler::~Profiler() { stop(); }
-
-void Profiler::set_telemetry_slot(TelemetrySlot* slot) {
-  telemetry_ = std::make_unique<TelemetryPublisher>(
-      slot, config_.telemetry_cadence_ns);
-}
 
 bool Profiler::perf_available() const {
   return perf_ != nullptr && perf_->available();
@@ -55,18 +33,16 @@ void Profiler::start() {
     if (!perf_->available()) {
       // Degrade loudly-but-once: hardened containers refuse even
       // self-monitoring perf_event_open, and that must not kill the run.
-      if (log_ != nullptr) {
-        log_->info("profiler_degraded",
-                   {{"reason", "perf_event_open unavailable"}});
-      }
-      if (metrics_ != nullptr) metrics_->gauge_max("profiler_degraded", 1.0);
+      ctx_.log().info("profiler_degraded",
+                      {{"reason", "perf_event_open unavailable"}});
+      ctx_.metrics().gauge_max("profiler_degraded", 1.0);
     }
   }
 
   cursor_.publish("");
-  active_mode_ = sampler_.start(
-      config_.sampler_mode, config_.sample_interval_us,
-      comm_ != nullptr && comm_->process_isolated());
+  active_mode_ = sampler_.start(config_.sampler_mode,
+                                config_.sample_interval_us,
+                                ctx_.comm().process_isolated());
   publish_telemetry(/*force=*/true, TelemetrySlot::kLive);
 }
 
@@ -79,32 +55,30 @@ void Profiler::stop() {
 }
 
 void Profiler::flush() {
-  if (metrics_ != nullptr) {
-    metrics_->gauge_max("profiler_samples",
-                        static_cast<double>(table_.total()));
-    metrics_->gauge_max("profiler_dropped_samples",
-                        static_cast<double>(table_.dropped()));
-    // Per-stage hardware ratios. Gauges, never counters: counters feed the
-    // deterministic fingerprint and hardware counts vary run to run.
-    for (const auto& [stage, sample] : perf_by_stage_) {
-      if (sample.cycles == 0) continue;
-      metrics_->gauge_max("perf/" + stage + "/ipc",
-                          static_cast<double>(sample.instructions) /
-                              static_cast<double>(sample.cycles));
-      if (sample.instructions > 0) {
-        metrics_->gauge_max("perf/" + stage + "/llc_per_kinst",
-                            1000.0 * static_cast<double>(sample.llc_misses) /
-                                static_cast<double>(sample.instructions));
-      }
+  auto& metrics = ctx_.metrics();
+  metrics.gauge_max("profiler_samples", static_cast<double>(table_.total()));
+  metrics.gauge_max("profiler_dropped_samples",
+                    static_cast<double>(table_.dropped()));
+  // Per-stage hardware ratios. Gauges, never counters: counters feed the
+  // deterministic fingerprint and hardware counts vary run to run.
+  for (const auto& [stage, sample] : perf_by_stage_) {
+    if (sample.cycles == 0) continue;
+    metrics.gauge_max("perf/" + stage + "/ipc",
+                      static_cast<double>(sample.instructions) /
+                          static_cast<double>(sample.cycles));
+    if (sample.instructions > 0) {
+      metrics.gauge_max("perf/" + stage + "/llc_per_kinst",
+                        1000.0 * static_cast<double>(sample.llc_misses) /
+                            static_cast<double>(sample.instructions));
     }
   }
-  if (timeline_ != nullptr) {
+  if (Timeline* timeline = ctx_.timeline()) {
     // Sample density as a counter track: one point per non-empty bucket
     // (single-threaded here — sampling has stopped).
     for (std::size_t i = 0; i < DensitySeries::kMaxBuckets; ++i) {
       const auto n = density_.counts[i].load(std::memory_order_relaxed);
       if (n == 0) continue;
-      timeline_->add_counter(
+      timeline->add_counter(
           "sample_density", density_.t0_ns + static_cast<std::int64_t>(i) *
                                                  density_.bucket_ns,
           static_cast<double>(n));
@@ -167,68 +141,46 @@ void Profiler::on_scope_close(std::string_view path, std::int64_t) {
 }
 
 TelemetryPublisher::Update Profiler::telemetry_update(std::uint32_t state) {
+  const auto& metrics = ctx_.metrics();
   TelemetryPublisher::Update u;
   u.state = state;
-  u.incarnation =
-      comm_ != nullptr ? static_cast<std::uint32_t>(comm_->incarnation()) : 0;
+  u.incarnation = static_cast<std::uint32_t>(ctx_.comm().incarnation());
   u.samples = table_.total();
   u.stage = path_stack_.empty() ? std::string_view{}
                                 : std::string_view{path_stack_.back()};
   const std::int64_t t = now_ns();
-  if (metrics_ != nullptr) {
-    const auto it = metrics_->counters().find("points_binned");
-    u.points_total = it != metrics_->counters().end() ? it->second : 0;
-    // Windowed points/sec: refresh the rate every >=200 ms so it reads as
-    // "current throughput", not the whole-run average.
-    if (t - rate_last_ns_ >= 200'000'000) {
-      rate_value_ = static_cast<double>(u.points_total - rate_last_points_) *
-                    1e9 / static_cast<double>(t - rate_last_ns_);
-      rate_last_points_ = u.points_total;
-      rate_last_ns_ = t;
-    }
-    u.points_per_sec = rate_value_;
-    const double wait_ns =
-        histogram_sum_ns(metrics_->histograms(), "recv_wait") +
-        histogram_sum_ns(metrics_->histograms(), "barrier_wait");
-    const double wall_ns = static_cast<double>(t - start_ns_);
-    u.wait_ratio = wall_ns > 0 ? std::min(1.0, wait_ns / wall_ns) : 0.0;
+  u.points_total = metrics.counter("points_binned");
+  // Windowed points/sec: refresh the rate every >=200 ms so it reads as
+  // "current throughput", not the whole-run average.
+  if (t - rate_last_ns_ >= 200'000'000) {
+    rate_value_ = static_cast<double>(u.points_total - rate_last_points_) *
+                  1e9 / static_cast<double>(t - rate_last_ns_);
+    rate_last_points_ = u.points_total;
+    rate_last_ns_ = t;
   }
-  if (health_ != nullptr) u.anomalies = health_->anomalies();
+  u.points_per_sec = rate_value_;
+  const double wall_ns = static_cast<double>(t - start_ns_);
+  u.wait_ratio =
+      wall_ns > 0
+          ? std::min(1.0, static_cast<double>(metrics.blocked_ns()) / wall_ns)
+          : 0.0;
+  u.anomalies = metrics.counter("health_latency_anomalies") +
+                metrics.counter("health_wait_anomalies");
   // Recovery-ladder accounting (telemetry v2): group-wide respawn/regrow
   // totals from the transport, per-rank latency quantiles from the
   // shrink_to_survivors() histogram. All timing-derived values stay out of
   // the counters (fingerprint discipline).
-  if (comm_ != nullptr) {
-    u.respawns_total = comm_->respawns_total();
-    u.regrow_epochs = comm_->regrow_epochs();
-  }
-  if (metrics_ != nullptr) {
-    const auto hit = metrics_->histograms().find("recovery_latency_ns");
-    if (hit != metrics_->histograms().end() && hit->second.count() > 0) {
-      u.recovery_p50_ns =
-          static_cast<std::int64_t>(hit->second.quantile(0.5));
-      u.recovery_p99_ns =
-          static_cast<std::int64_t>(hit->second.quantile(0.99));
-    }
+  u.respawns_total = ctx_.comm().respawns_total();
+  u.regrow_epochs = ctx_.comm().regrow_epochs();
+  const auto hit = metrics.histograms().find("recovery_latency_ns");
+  if (hit != metrics.histograms().end() && hit->second.count() > 0) {
+    u.recovery_p50_ns = static_cast<std::int64_t>(hit->second.quantile(0.5));
+    u.recovery_p99_ns = static_cast<std::int64_t>(hit->second.quantile(0.99));
   }
   return u;
 }
 
 void Profiler::publish_telemetry(bool force, std::uint32_t state) {
-  // Mailbox-depth snapshots into the black-box ring, at telemetry cadence.
-  // Runs on the rank thread (scope boundaries), never from SIGPROF.
-  if (flight_ != nullptr && metrics_ != nullptr) {
-    const std::int64_t t = now_ns();
-    if (force || t - flight_last_ns_ >= config_.telemetry_cadence_ns) {
-      flight_last_ns_ = t;
-      const auto git = metrics_->gauges().find("mailbox_depth");
-      const std::uint64_t depth =
-          git != metrics_->gauges().end()
-              ? static_cast<std::uint64_t>(git->second)
-              : 0;
-      flight_->event(flight::EventType::kMailbox, "depth", depth);
-    }
-  }
   if (telemetry_ == nullptr) return;
   const auto u = telemetry_update(state);
   if (force) {

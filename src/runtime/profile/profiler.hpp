@@ -10,6 +10,12 @@
 //     └── TelemetryPublisher rate-limited slot publish (stage, rates, RSS,
 //                         anomaly count, incarnation) for kb2_top
 //
+// The profiler reads everything else through its owning Context when it
+// needs it — the communicator, the metrics registry (wait time, anomaly
+// counters, points binned), the event log and the timeline (the
+// sample_density track at stop()) — so the order in which a Context
+// enables its planes does not matter.
+//
 // Everything perf-derived lands in GAUGES, never counters: counters feed
 // deterministic_fingerprint(), and hardware counts differ run to run.
 // When perf_event_open is refused (hardened container, CI), the profiler
@@ -29,20 +35,9 @@
 #include "runtime/profile/telemetry.hpp"
 #include "runtime/tracer.hpp"
 
-namespace keybin2 {
-namespace comm {
-class Communicator;
+namespace keybin2::runtime {
+class Context;
 }
-namespace runtime {
-class MetricsRegistry;
-class EventLog;
-class Timeline;
-class HealthMonitor;
-namespace flight {
-class FlightRecorder;
-}
-}  // namespace runtime
-}  // namespace keybin2
 
 namespace keybin2::runtime::profile {
 
@@ -55,23 +50,12 @@ struct ProfilerConfig {
 
 class Profiler : public ScopeObserver {
  public:
-  Profiler(comm::Communicator* comm, MetricsRegistry* metrics, EventLog* log,
-           ProfilerConfig config = {});
+  /// `slot` (nullable) is this rank's slot of the launcher's RankSegment;
+  /// the segment must outlive the profiler.
+  Profiler(Context& ctx, ProfilerConfig config, TelemetrySlot* slot);
   ~Profiler() override;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
-
-  /// Optional wiring, call before start(). Density counters flush into the
-  /// timeline; anomaly counts flow from the health monitor into telemetry.
-  void set_timeline(Timeline* timeline) { timeline_ = timeline; }
-  void set_health(HealthMonitor* health) { health_ = health; }
-  /// Flight recorder to feed periodic mailbox-depth snapshots (at telemetry
-  /// cadence, from the rank thread — never the SIGPROF handler).
-  void set_flight(flight::FlightRecorder* flight) { flight_ = flight; }
-  /// Attach this rank's telemetry slot (from the launcher's
-  /// TelemetrySegment). The publisher caches the pointer; the segment must
-  /// outlive the profiler.
-  void set_telemetry_slot(TelemetrySlot* slot);
 
   /// Probe perf, start the sampler, publish the first telemetry snapshot.
   /// Idempotent.
@@ -102,12 +86,7 @@ class Profiler : public ScopeObserver {
   void publish_telemetry(bool force, std::uint32_t state);
   void flush();
 
-  comm::Communicator* comm_;
-  MetricsRegistry* metrics_;
-  EventLog* log_;
-  Timeline* timeline_ = nullptr;
-  HealthMonitor* health_ = nullptr;
-  flight::FlightRecorder* flight_ = nullptr;
+  Context& ctx_;
   ProfilerConfig config_;
 
   StageCursor cursor_;
@@ -132,7 +111,6 @@ class Profiler : public ScopeObserver {
   std::uint64_t rate_last_points_ = 0;
   std::int64_t rate_last_ns_ = 0;
   double rate_value_ = 0.0;
-  std::int64_t flight_last_ns_ = 0;  // last mailbox-depth flight snapshot
 };
 
 }  // namespace keybin2::runtime::profile

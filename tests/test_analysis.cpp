@@ -323,9 +323,10 @@ TEST(HealthMonitor, WaitRatioAnomaly) {
     hm.on_scope_open("merge" + std::to_string(i));
     hm.on_scope_close("merge" + std::to_string(i), 1'000'000);
   }
-  // ...then a scope spending 80% of its wall blocked.
+  // ...then a scope spending 80% of its wall blocked in a recv, which the
+  // monitor reads from the registry's wait histograms.
   hm.on_scope_open("merge3");
-  hm.record_wait(800'000);
+  metrics.record_recv(/*peer=*/1, /*tag=*/0, /*bytes=*/0, 800'000);
   hm.on_scope_close("merge3", 1'000'000);
   EXPECT_EQ(sink->events_named("wait_ratio_anomaly").size(), 1u);
 }

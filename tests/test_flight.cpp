@@ -21,6 +21,7 @@
 #include "runtime/context.hpp"
 #include "runtime/flight/flight.hpp"
 #include "runtime/flight/postmortem.hpp"
+#include "runtime/segment.hpp"
 
 #ifdef __linux__
 #include "comm/proc_comm.hpp"
@@ -37,7 +38,8 @@ std::string temp_dump_path(const char* tag) {
 }
 
 TEST(FlightRing, RecordsRoundTripThroughDump) {
-  flight::FlightSegment seg(/*n_ranks=*/2, "ring unit", /*slots_per_rank=*/8);
+  runtime::RankSegment seg(/*n_ranks=*/2, "ring unit", /*name=*/{},
+                           /*slots_per_rank=*/8);
   flight::FlightWriter w(&seg, /*rank=*/1, /*incarnation=*/0);
   w.record(flight::EventType::kSend, flight::EventPhase::kBegin, /*peer=*/0,
            /*tag=*/7, /*bytes=*/64, "first");
@@ -45,6 +47,10 @@ TEST(FlightRing, RecordsRoundTripThroughDump) {
            "first");
   w.record(flight::EventType::kStage, flight::EventPhase::kBegin, -1, -1, 0,
            "fit/trial0");
+  // Longer than the record's 23 detail bytes: the informative tail stays.
+  const std::string long_path = "fit/trial12/merge_histograms/sparse_reduce";
+  w.record(flight::EventType::kStage, flight::EventPhase::kEnd, -1, -1, 0,
+           long_path);
 
   const std::string path = temp_dump_path("roundtrip");
   seg.freeze();
@@ -58,7 +64,7 @@ TEST(FlightRing, RecordsRoundTripThroughDump) {
   EXPECT_TRUE(dump.ranks[0].records.empty());  // rank 0 never bound
   const auto& trail = dump.ranks[1];
   EXPECT_GT(trail.epoch_ns, 0);
-  ASSERT_EQ(trail.records.size(), 3u);
+  ASSERT_EQ(trail.records.size(), 4u);
   EXPECT_EQ(trail.records[0].type,
             static_cast<std::uint8_t>(flight::EventType::kSend));
   EXPECT_EQ(trail.records[0].phase,
@@ -67,13 +73,15 @@ TEST(FlightRing, RecordsRoundTripThroughDump) {
   EXPECT_EQ(trail.records[0].tag, 7);
   EXPECT_EQ(trail.records[0].bytes, 64u);
   EXPECT_STREQ(trail.records[2].detail, "fit/trial0");
+  EXPECT_EQ(std::string(trail.records[3].detail),
+            long_path.substr(long_path.size() - 23));
   // Records are oldest-first with strictly increasing timestamps.
   EXPECT_LE(trail.records[0].t_ns, trail.records[2].t_ns);
   std::remove(path.c_str());
 }
 
 TEST(FlightRing, WrapKeepsNewestTail) {
-  flight::FlightSegment seg(1, "wrap", /*slots_per_rank=*/8);
+  runtime::RankSegment seg(1, "wrap", {}, /*slots_per_rank=*/8);
   flight::FlightWriter w(&seg, 0, 0);
   for (int i = 0; i < 20; ++i) {
     char detail[16];
@@ -96,7 +104,7 @@ TEST(FlightRing, WrapKeepsNewestTail) {
 }
 
 TEST(FlightRing, FreezeDropsAndCountsRecords) {
-  flight::FlightSegment seg(1, "freeze", 8);
+  runtime::RankSegment seg(1, "freeze", {}, 8);
   flight::FlightWriter w(&seg, 0, 0);
   w.record(flight::EventType::kStage, flight::EventPhase::kPoint, -1, -1, 0,
            "before");
@@ -120,7 +128,7 @@ TEST(FlightRing, FreezeDropsAndCountsRecords) {
 }
 
 TEST(FlightDump, DeathsSurviveTheContainer) {
-  flight::FlightSegment seg(3, "deaths", 8);
+  runtime::RankSegment seg(3, "deaths", {}, 8);
   std::vector<flight::FlightDeath> deaths;
   deaths.push_back({1, 0, "killed by signal 9"});
   deaths.push_back({2, 1, "respawn budget exhausted"});
@@ -150,7 +158,7 @@ TEST(FlightDump, CorruptionYieldsTypedDefects) {
       flight::DumpCorruption::kBadMagic,
   };
   for (const auto mode : kModes) {
-    flight::FlightSegment seg(2, "corrupt", 8);
+    runtime::RankSegment seg(2, "corrupt", {}, 8);
     flight::FlightWriter w(&seg, 0, 0);
     for (int i = 0; i < 6; ++i) {
       w.record(flight::EventType::kBarrier, flight::EventPhase::kBegin, -1,
@@ -183,7 +191,7 @@ TEST(FlightDump, CorruptionYieldsTypedDefects) {
 
 TEST(Postmortem, AttributesDeadlockFromWaitCycle) {
   // Hand-build a two-rank mutual recv wait: a cycle with nobody dead.
-  flight::FlightSegment seg(2, "deadlock", 8);
+  runtime::RankSegment seg(2, "deadlock", {}, 8);
   flight::FlightWriter w0(&seg, 0, 0);
   flight::FlightWriter w1(&seg, 1, 0);
   w0.record(flight::EventType::kRecv, flight::EventPhase::kBegin, 1, 5, 0,
@@ -215,8 +223,7 @@ flight::PostmortemReport killed_fit_report(comm::Backend backend,
   params.comm_timeout_seconds = 20.0;
   params.max_shrink_retries = 3;
 
-  auto fseg =
-      std::make_unique<flight::FlightSegment>(kRanks, "killed fit");
+  auto seg = std::make_unique<runtime::RankSegment>(kRanks, "killed fit");
   std::mutex mu;
   std::vector<flight::FlightDeath> deaths;
   comm::LaunchOptions launch;
@@ -225,10 +232,10 @@ flight::PostmortemReport killed_fit_report(comm::Backend backend,
   launch.on_abnormal_death = [&](int rank, int incarnation,
                                  const std::string& reason) {
     std::lock_guard lk(mu);
-    fseg->freeze();
+    seg->freeze();
     deaths.push_back({rank, incarnation, reason});
-    flight::write_flight_dump(path, *fseg, "abnormal rank death", deaths);
-    fseg->unfreeze();
+    flight::write_flight_dump(path, *seg, "abnormal rank death", deaths);
+    seg->unfreeze();
   };
 
   try {
@@ -243,7 +250,7 @@ flight::PostmortemReport killed_fit_report(comm::Backend backend,
         ep = &*faulty;
       }
       runtime::Context ctx(*ep, params.seed);
-      ctx.enable_flight_recorder(fseg.get());
+      ctx.enable_flight_recorder(seg.get());
       (void)core::fit(ctx, shards[static_cast<std::size_t>(c.rank())].points,
                       params);
     });

@@ -1,11 +1,12 @@
 // Continuous-profiler and telemetry-plane tests (DESIGN.md §8): the
 // lock-free sampling primitives (StageCursor seqlock, SampleTable,
-// DensitySeries), the shared-memory telemetry segment with its attach/
+// DensitySeries), the per-rank shared-memory segment with its attach/
 // snapshot observer protocol and the kb2_top JSON schema, live
 // stage-accurate snapshots read by a concurrent observer while a profiled
-// fit runs on BOTH backends, and the respawn story: a SIGKILL'd rank's
+// fit runs on BOTH backends, the respawn story (a SIGKILL'd rank's
 // replacement incarnation reclaims the same telemetry slot with a bumped
-// incarnation number.
+// incarnation number), and the Context's one wiring point (planes enabled
+// in any order see each other).
 //
 // The CPU burners busy-spin, never sleep: the SIGPROF engine samples CPU
 // time (ITIMER_PROF), so a sleeping rank would legitimately collect zero
@@ -26,6 +27,8 @@
 
 #ifdef __linux__
 #include <dirent.h>
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 #endif
 
@@ -43,6 +46,7 @@
 #include "runtime/profile/perf_counters.hpp"
 #include "runtime/profile/stage_cursor.hpp"
 #include "runtime/profile/telemetry.hpp"
+#include "runtime/segment.hpp"
 
 namespace keybin2::runtime::profile {
 namespace {
@@ -151,10 +155,10 @@ std::string unique_name(const std::string& suffix) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry segment: publish / attach / snapshot.
+// The segment's telemetry slots: publish / attach / snapshot.
 
 TEST(Telemetry, PublishAttachSnapshotRoundTrip) {
-  TelemetrySegment seg(unique_name("rt"), 3, "unit test job");
+  RankSegment seg(3, "unit test job", unique_name("rt"));
   TelemetryPublisher pub(seg.slot(1), /*cadence_ns=*/0);
   TelemetryPublisher::Update u;
   u.state = TelemetrySlot::kLive;
@@ -168,13 +172,13 @@ TEST(Telemetry, PublishAttachSnapshotRoundTrip) {
   pub.publish_now(u);
 
   std::string err;
-  const auto reader = TelemetryReader::attach(seg.name(), &err);
+  const auto reader = RankSegment::attach(seg.name(), &err);
   ASSERT_NE(reader, nullptr) << err;
   EXPECT_EQ(reader->header().n_ranks, 3u);
   EXPECT_EQ(std::string(reader->header().job), "unit test job");
   EXPECT_EQ(reader->header().creator_pid, ::getpid());
 
-  const auto samples = reader->snapshot();
+  const auto samples = read_telemetry(*reader);
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[0].slot.state, TelemetrySlot::kEmpty);
   EXPECT_EQ(samples[2].slot.state, TelemetrySlot::kEmpty);
@@ -194,7 +198,7 @@ TEST(Telemetry, PublishAttachSnapshotRoundTrip) {
 }
 
 TEST(Telemetry, OverlongStageIsTailTruncatedInTheSlot) {
-  TelemetrySegment seg(unique_name("trunc"), 1, "trunc");
+  RankSegment seg(1, "trunc", unique_name("trunc"));
   TelemetryPublisher pub(seg.slot(0), 0);
   std::string stage = "fit";
   while (stage.size() < 2 * TelemetrySlot::kMaxStage) stage += "/nested";
@@ -204,9 +208,9 @@ TEST(Telemetry, OverlongStageIsTailTruncatedInTheSlot) {
   pub.publish_now(u);
 
   std::string err;
-  const auto reader = TelemetryReader::attach(seg.name(), &err);
+  const auto reader = RankSegment::attach(seg.name(), &err);
   ASSERT_NE(reader, nullptr) << err;
-  const auto samples = reader->snapshot();
+  const auto samples = read_telemetry(*reader);
   ASSERT_EQ(samples.size(), 1u);
   const std::string got(samples[0].slot.stage);
   EXPECT_EQ(got.size(), TelemetrySlot::kMaxStage - 1);
@@ -217,13 +221,37 @@ TEST(Telemetry, OverlongStageIsTailTruncatedInTheSlot) {
 TEST(Telemetry, AttachToMissingSegmentFailsWithMessage) {
   std::string err;
   const auto reader =
-      TelemetryReader::attach(unique_name("does-not-exist"), &err);
+      RankSegment::attach(unique_name("does-not-exist"), &err);
   EXPECT_EQ(reader, nullptr);
   EXPECT_FALSE(err.empty());
 }
 
+TEST(Telemetry, AttachRefusesASegmentShorterThanItsHeaderLayout) {
+  // A valid header claiming 64 ranks over an object holding only the
+  // header: mapping the claimed layout would SIGBUS on the first slot read,
+  // so attach must refuse it, name it, and map nothing.
+  const std::string name = "/" + unique_name("short");
+  const int fd = ::shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+  ASSERT_GE(fd, 0);
+  SegmentHeader hdr;
+  hdr.magic = SegmentHeader::kMagic;
+  hdr.version = SegmentHeader::kVersion;
+  hdr.n_ranks = 64;
+  hdr.slots_per_rank = RankSegment::kDefaultSlots;
+  ASSERT_EQ(::write(fd, &hdr, sizeof(hdr)),
+            static_cast<ssize_t>(sizeof(hdr)));
+  ::close(fd);
+
+  std::string err;
+  const auto reader = RankSegment::attach(name, &err);
+  ::shm_unlink(name.c_str());
+  EXPECT_EQ(reader, nullptr);
+  EXPECT_NE(err.find(name), std::string::npos) << err;
+  EXPECT_NE(err.find("truncated"), std::string::npos) << err;
+}
+
 TEST(Telemetry, TopSnapshotJsonMatchesSchema) {
-  TelemetrySegment seg(unique_name("json"), 2, "schema probe");
+  RankSegment seg(2, "schema probe", unique_name("json"));
   TelemetryPublisher pub(seg.slot(0), 0);
   TelemetryPublisher::Update u;
   u.state = TelemetrySlot::kLive;
@@ -232,7 +260,7 @@ TEST(Telemetry, TopSnapshotJsonMatchesSchema) {
   pub.publish_now(u);
 
   std::string err;
-  const auto reader = TelemetryReader::attach(seg.name(), &err);
+  const auto reader = RankSegment::attach(seg.name(), &err);
   ASSERT_NE(reader, nullptr) << err;
   const auto json = top_snapshot_json(*reader, now_ns() + 1);
   const auto doc = json_parse(json);
@@ -366,7 +394,7 @@ void live_snapshot_case(const comm::LaunchOptions& options,
   constexpr int kRanks = 2;
   // Created BEFORE the launch: forked ranks (process backend) inherit the
   // MAP_SHARED mapping, threads share it directly.
-  TelemetrySegment seg(unique_name(suffix), kRanks, "live test");
+  RankSegment seg(kRanks, "live test", unique_name(suffix));
 
   std::atomic<bool> saw_live{false};
   std::atomic<bool> saw_fit_stage{false};
@@ -374,10 +402,10 @@ void live_snapshot_case(const comm::LaunchOptions& options,
   std::string live_json;  // written by the reader thread, read after join
   std::thread observer([&] {
     std::string err;
-    const auto reader = TelemetryReader::attach(seg.name(), &err);
+    const auto reader = RankSegment::attach(seg.name(), &err);
     if (reader == nullptr) return;
     while (!stop_reader.load()) {
-      for (const auto& s : reader->snapshot()) {
+      for (const auto& s : read_telemetry(*reader)) {
         if (s.slot.state != TelemetrySlot::kLive) continue;
         saw_live = true;
         if (std::string_view(s.slot.stage).find("fit") !=
@@ -435,9 +463,9 @@ void live_snapshot_case(const comm::LaunchOptions& options,
   // CPU-burning per rank at a 1 ms tick guarantees a nonzero count under
   // either sampler engine.
   std::string err;
-  const auto reader = TelemetryReader::attach(seg.name(), &err);
+  const auto reader = RankSegment::attach(seg.name(), &err);
   ASSERT_NE(reader, nullptr) << err;
-  const auto samples = reader->snapshot();
+  const auto samples = read_telemetry(*reader);
   ASSERT_EQ(samples.size(), static_cast<std::size_t>(kRanks));
   for (const auto& s : samples) {
     EXPECT_EQ(s.slot.state, TelemetrySlot::kDone) << "rank " << s.rank;
@@ -472,7 +500,7 @@ TEST(ProfilerRecovery, RespawnedIncarnationReclaimsItsTelemetrySlot) {
   core::Params params;
   params.comm_timeout_seconds = 30.0;
 
-  TelemetrySegment seg(unique_name("respawn"), 4, "respawn test");
+  RankSegment seg(4, "respawn test", unique_name("respawn"));
   comm::RecoveryPolicy pol;
   pol.max_respawns = 1;
   pol.backoff_base_ms = 1.0;
@@ -499,9 +527,9 @@ TEST(ProfilerRecovery, RespawnedIncarnationReclaimsItsTelemetrySlot) {
   EXPECT_EQ(res.respawns_total, 1);
 
   std::string err;
-  const auto reader = TelemetryReader::attach(seg.name(), &err);
+  const auto reader = RankSegment::attach(seg.name(), &err);
   ASSERT_NE(reader, nullptr) << err;
-  const auto samples = reader->snapshot();
+  const auto samples = read_telemetry(*reader);
   ASSERT_EQ(samples.size(), 4u);
   for (const auto& s : samples) {
     EXPECT_EQ(s.slot.state, TelemetrySlot::kDone) << "rank " << s.rank;
@@ -513,9 +541,63 @@ TEST(ProfilerRecovery, RespawnedIncarnationReclaimsItsTelemetrySlot) {
 }
 
 // ---------------------------------------------------------------------------
+// One wiring point: a plane looks its siblings up through the Context when
+// it uses them, so the order the planes are enabled in does not matter.
+
+TEST(Context, PlanesWireTheSameInAnyEnableOrder) {
+  const auto spec = data::make_paper_mixture(8, 3, 2);
+  const auto d = data::sample(spec, 2000, 3);
+  core::Params params;
+  params.bootstrap_trials = 2;
+  ProfilerConfig cfg;
+  cfg.sample_interval_us = 500;
+  // Every repeated scope past its first alarms, so the anomaly counters the
+  // telemetry slot must mirror are never trivially zero.
+  HealthConfig eager;
+  eager.warmup = 1;
+  eager.min_wall_ns = 0;
+  eager.latency_factor = 0.0;
+
+  for (const bool profiler_first : {true, false}) {
+    SCOPED_TRACE(profiler_first ? "profiler first" : "profiler last");
+    RankSegment seg(1, "enable order");
+    Context ctx(/*seed=*/3);
+    if (profiler_first) ctx.enable_profiler(cfg, seg.slot(0));
+    ctx.enable_timeline();
+    ctx.enable_health_monitor(eager);
+    ctx.enable_flight_recorder(&seg);
+    if (!profiler_first) ctx.enable_profiler(cfg, seg.slot(0));
+    (void)core::fit(ctx, d.points, params);
+    // The hub samples on wall time; under a loaded suite give it a tick.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (ctx.profiler()->samples() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ctx.profiler()->stop();
+
+    std::size_t density_points = 0;
+    for (const auto& c : ctx.timeline()->counters()) {
+      if (c.name == "sample_density") ++density_points;
+    }
+    EXPECT_GT(density_points, 0u);
+
+    const std::uint64_t anomalies =
+        ctx.metrics().counter("health_latency_anomalies") +
+        ctx.metrics().counter("health_wait_anomalies");
+    EXPECT_GT(anomalies, 0u);
+    const auto slots = read_telemetry(seg);
+    ASSERT_EQ(slots.size(), 1u);
+    EXPECT_EQ(slots[0].slot.state, TelemetrySlot::kDone);
+    EXPECT_EQ(slots[0].slot.anomalies, anomalies);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Residue gate: no telemetry segment created by THIS process may outlive
-// its test. Segments stay linked while a job runs (that is kb2_top's attach
-// surface) but ~TelemetrySegment unlinks — a name surviving to teardown is
+// its test. Named segments stay linked while a job runs (that is kb2_top's
+// attach surface) but ~RankSegment unlinks — a name surviving to teardown is
 // a leak. Also re-checks the process-backend prefixes, since this binary
 // forks ranks of its own.
 class TeleResidueCheck final : public ::testing::EmptyTestEventListener {
@@ -560,9 +642,9 @@ const bool kResidueCheckInstalled = [] {
 #else  // !__linux__
 
 TEST(Telemetry, SegmentRequiresLinux) {
-  EXPECT_THROW(TelemetrySegment("kb2-tele-x", 1, "job"), Error);
+  EXPECT_THROW(RankSegment(1, "job", "kb2-tele-x"), Error);
   std::string err;
-  EXPECT_EQ(TelemetryReader::attach("kb2-tele-x", &err), nullptr);
+  EXPECT_EQ(RankSegment::attach("kb2-tele-x", &err), nullptr);
   EXPECT_FALSE(err.empty());
 }
 

@@ -20,6 +20,7 @@
 #include "common/error.hpp"
 #include "core/keybin2.hpp"
 #include "core/out_of_core.hpp"
+#include "core/streaming.hpp"
 #include "data/gaussian_mixture.hpp"
 #include "data/io.hpp"
 #include "data/partition.hpp"
@@ -245,6 +246,37 @@ TEST(Resilience, RetriesExhaustIntoATypedAbortNotAHang) {
   } catch (const comm::FitAbortedError& e) {
     EXPECT_EQ(e.attempts(), params.max_shrink_retries);
     EXPECT_FALSE(e.last_kind().empty());
+  }
+}
+
+TEST(Resilience, RefitRetriesExhaustIntoATypedAbort) {
+  // The streaming refit shares the fit's recovery loop: a permanently
+  // corrupting rank must end it in a typed FitAbortedError naming the
+  // refit, once max_shrink_retries is spent.
+  const auto spec = data::make_paper_mixture(8, 3, 1);
+  const auto d = data::sample(spec, 400, 2);
+  const auto shards = data::shard(d, 2);
+  core::Params params;
+  params.comm_timeout_seconds = 1.0;
+  params.max_shrink_retries = 1;
+  params.recovery.backoff_base_ms = 1.0;
+  params.recovery.backoff_cap_ms = 4.0;
+
+  try {
+    run_ranks(2, [&](Communicator& c) {
+      const auto r = static_cast<std::size_t>(c.rank());
+      core::StreamingKeyBin2 engine(d.dims(), params);
+      engine.push_batch(shards[r].points);
+      comm::fault::FaultSchedule s;
+      if (c.rank() == 1) s.zero_fill_prob = 1.0;
+      comm::fault::FaultyComm faulty(c, s);
+      engine.refit(faulty);
+    });
+    FAIL() << "a permanently corrupting rank must abort the refit";
+  } catch (const comm::FitAbortedError& e) {
+    EXPECT_EQ(e.attempts(), params.max_shrink_retries);
+    EXPECT_EQ(std::string(e.what()).rfind("refit aborted after", 0), 0u)
+        << e.what();
   }
 }
 

@@ -42,7 +42,7 @@
 #include "core/checkpoint.hpp"
 #include "core/streaming.hpp"
 #include "runtime/flight/flight.hpp"
-#include "runtime/profile/telemetry.hpp"
+#include "runtime/segment.hpp"
 
 namespace {
 
@@ -186,24 +186,19 @@ int run_soak(const SoakArgs& args) {
   params.recovery.backoff_base_ms = 2.0;
   params.recovery.backoff_cap_ms = 20.0;
 
-  // With --telemetry, every schedule's ranks publish live snapshots into
-  // one segment created up front — the chaos soak is exactly where watching
-  // incarnations climb in kb2_top is interesting. Created before any fork
-  // so children (respawns included) inherit the mapping.
-  std::unique_ptr<runtime::profile::TelemetrySegment> tele;
+  // One segment for the whole soak, created before any fork so children
+  // (respawns included) inherit the mapping. Its black-box rings are the
+  // only evidence of where each (possibly SIGKILLed) rank was parked when
+  // the watchdog declares a hang, and the dump happens on the way to _Exit.
+  // With --telemetry it is named and every schedule's ranks also publish
+  // live snapshots — the chaos soak is exactly where watching incarnations
+  // climb in kb2_top is interesting.
+  const auto seg = std::make_unique<runtime::RankSegment>(
+      args.ranks, "chaos soak", args.telemetry);
   if (!args.telemetry.empty()) {
-    tele = std::make_unique<runtime::profile::TelemetrySegment>(
-        args.telemetry, args.ranks, "chaos soak");
     std::printf("telemetry: %s (attach with kb2_top --segment %s)\n",
-                tele->name().c_str(), tele->name().c_str());
+                seg->name().c_str(), seg->name().c_str());
   }
-
-  // Black-box rings for the whole soak, created pre-fork like the telemetry
-  // segment: when the watchdog declares a hang, the rings are the only
-  // evidence of where each (possibly SIGKILLed) rank was parked, and the
-  // dump happens on the way to _Exit.
-  auto fseg = std::make_unique<runtime::flight::FlightSegment>(
-      args.ranks, "chaos soak");
   std::mutex deaths_mu;
   std::vector<runtime::flight::FlightDeath> deaths;
   const comm::AbnormalDeathFn on_death = [&](int rank, int incarnation,
@@ -222,9 +217,9 @@ int run_soak(const SoakArgs& args) {
       }
       const auto r = static_cast<std::size_t>(c.rank());
       runtime::Context ctx(*ep, params.seed);
-      ctx.enable_flight_recorder(fseg.get());
-      if (tele != nullptr) {
-        ctx.enable_profiler({}, tele->slot(c.rank()));
+      ctx.enable_flight_recorder(seg.get());
+      if (!args.telemetry.empty()) {
+        ctx.enable_profiler({}, seg->slot(c.rank()));
       }
       const auto result = core::fit(ctx, shards[r].points, params);
       if (ctx.profiler() != nullptr) ctx.profiler()->stop();
@@ -266,9 +261,9 @@ int run_soak(const SoakArgs& args) {
         // Last act before the hard exit: freeze every ring and dump the
         // flight story so the hang is debuggable after the fact.
         try {
-          fseg->freeze();
+          seg->freeze();
           std::lock_guard lk(deaths_mu);
-          runtime::flight::write_flight_dump("kb2_soak_flight.dump", *fseg,
+          runtime::flight::write_flight_dump("kb2_soak_flight.dump", *seg,
                                              "soak watchdog expiry", deaths);
           std::fprintf(stderr,
                        "kb2_soak: flight rings dumped to kb2_soak_flight.dump"

@@ -19,10 +19,11 @@
 
 #include "common/timer.hpp"
 #include "runtime/profile/telemetry.hpp"
+#include "runtime/segment.hpp"
 
 namespace {
 
-using keybin2::runtime::profile::TelemetryReader;
+using keybin2::runtime::RankSegment;
 using keybin2::runtime::profile::TelemetrySlot;
 
 int usage(const char* argv0) {
@@ -46,9 +47,9 @@ const char* state_name(std::uint32_t state) {
   }
 }
 
-void print_table(const TelemetryReader& reader, bool clear_screen) {
+void print_table(const RankSegment& seg, bool clear_screen) {
   if (clear_screen) std::fputs("\x1b[H\x1b[2J", stdout);
-  const auto& hdr = reader.header();
+  const auto& hdr = seg.header();
   std::printf("kb2_top — job \"%s\" (launcher pid %d, %u ranks)\n\n",
               hdr.job, hdr.creator_pid, hdr.n_ranks);
   std::printf("%4s %5s %-7s %3s %-28s %12s %8s %9s %8s %6s %4s %4s %8s %8s "
@@ -57,7 +58,7 @@ void print_table(const TelemetryReader& reader, bool clear_screen) {
               "rss", "samples", "anom", "rsp", "rgr", "rec-p50", "rec-p99",
               "beat(ms)");
   const std::int64_t now = keybin2::now_ns();
-  for (const auto& s : reader.snapshot()) {
+  for (const auto& s : keybin2::runtime::profile::read_telemetry(seg)) {
     const double age_ms =
         s.slot.published_ns == 0
             ? -1.0
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
   if (segment.empty()) return usage(argv[0]);
 
   std::string error;
-  auto reader = TelemetryReader::attach(segment, &error);
+  auto reader = RankSegment::attach(segment, &error);
   if (reader == nullptr) {
     std::fprintf(stderr, "kb2_top: %s\n", error.c_str());
     return 1;
@@ -165,7 +166,7 @@ int main(int argc, char** argv) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     std::string probe_error;
-    if (TelemetryReader::attach(segment, &probe_error) == nullptr) {
+    if (RankSegment::attach(segment, &probe_error) == nullptr) {
       if (!json) std::printf("\njob ended (%s)\n", probe_error.c_str());
       return 0;
     }

@@ -65,7 +65,7 @@
 #include "data/partition.hpp"
 #include "runtime/flight/flight.hpp"
 #include "runtime/log.hpp"
-#include "runtime/profile/telemetry.hpp"
+#include "runtime/segment.hpp"
 #include "runtime/timeline.hpp"
 #include "stats/metrics.hpp"
 
@@ -331,27 +331,24 @@ int run_cluster(const CliArgs& a) {
       // each child re-opens the path append-mode for itself.
       const bool proc = a.launch.backend == comm::Backend::kProcess;
       const auto shards = data::shard(d, a.ranks);
-      // The telemetry segment must exist before the ranks launch: under
-      // --backend proc every child (respawns included — they fork from this
-      // parent) inherits the MAP_SHARED mapping, so slot pointers captured
-      // below stay valid in every address space. Destroyed (and unlinked)
-      // when run_cluster returns, which is what ends an attached kb2_top.
-      std::unique_ptr<runtime::profile::TelemetrySegment> tele;
-      if (!a.telemetry.empty()) {
-        tele = std::make_unique<runtime::profile::TelemetrySegment>(
-            a.telemetry, a.ranks, "cluster " + a.input);
-        std::printf("telemetry: %s (attach with kb2_top --segment %s)\n",
-                    tele->name().c_str(), tele->name().c_str());
-      }
-      // The flight-recorder segment likewise predates every fork, so each
-      // rank's black-box ring is readable from this parent even after a
-      // SIGKILL. Default on under --backend proc (a dead child can't tell
-      // its own story), off under thread unless forced.
+      // One pre-fork segment carries both the telemetry slots and the
+      // flight rings: under --backend proc every child (respawns included —
+      // they fork from this parent) inherits the MAP_SHARED mapping, so
+      // slot and ring pointers taken below stay valid in every address
+      // space, and a SIGKILLed rank's ring stays readable from here. Named
+      // for kb2_top with --telemetry (unlinked when run_cluster returns,
+      // which is what ends an attached kb2_top), anonymous otherwise. The
+      // flight recorder defaults on under --backend proc (a dead child
+      // can't tell its own story), off under thread unless forced.
       const bool flight_on = a.flight == 1 || (a.flight == -1 && proc);
-      std::unique_ptr<runtime::flight::FlightSegment> fseg;
-      if (flight_on) {
-        fseg = std::make_unique<runtime::flight::FlightSegment>(
-            a.ranks, "cluster " + a.input);
+      std::unique_ptr<runtime::RankSegment> seg;
+      if (flight_on || !a.telemetry.empty()) {
+        seg = std::make_unique<runtime::RankSegment>(
+            a.ranks, "cluster " + a.input, a.telemetry);
+      }
+      if (!a.telemetry.empty()) {
+        std::printf("telemetry: %s (attach with kb2_top --segment %s)\n",
+                    seg->name().c_str(), seg->name().c_str());
       }
       // Abnormal deaths (signal reaps, ladder exhaustion, rank throws) get
       // the death-moment snapshot: freeze every ring, write the cumulative
@@ -360,15 +357,15 @@ int run_cluster(const CliArgs& a) {
       auto launch = a.launch;
       std::mutex flight_mu;
       std::vector<runtime::flight::FlightDeath> deaths;
-      if (fseg != nullptr) {
+      if (flight_on) {
         launch.on_abnormal_death = [&](int rank, int incarnation,
                                        const std::string& reason) {
           std::lock_guard lk(flight_mu);
-          fseg->freeze();
+          seg->freeze();
           deaths.push_back({rank, incarnation, reason});
-          runtime::flight::write_flight_dump(a.flight_dump, *fseg,
+          runtime::flight::write_flight_dump(a.flight_dump, *seg,
                                              "abnormal rank death", deaths);
-          fseg->unfreeze();
+          seg->unfreeze();
           std::fprintf(stderr,
                        "flight: rank %d (inc %d) died: %s — dump written to "
                        "%s (inspect with kb2_postmortem)\n",
@@ -398,12 +395,13 @@ int run_cluster(const CliArgs& a) {
               endpoint = &*faulty;
             }
             runtime::Context ctx(*endpoint, params.seed);
-            if (fseg != nullptr) ctx.enable_flight_recorder(fseg.get());
+            if (flight_on) ctx.enable_flight_recorder(seg.get());
             if (a.trace) ctx.enable_comm_metrics();
             if (!a.trace_json.empty()) ctx.enable_timeline();
             if (a.profile) {
-              ctx.enable_profiler(
-                  {}, tele != nullptr ? tele->slot(comm.rank()) : nullptr);
+              ctx.enable_profiler({}, a.telemetry.empty()
+                                          ? nullptr
+                                          : seg->slot(comm.rank()));
             }
             if (proc && !a.log_path.empty()) {
               // This rank is a forked child: the parent's FILE* is useless
@@ -522,19 +520,18 @@ int run_cluster(const CliArgs& a) {
                     a.profile_folded.c_str());
       }
     } else {
-      std::unique_ptr<runtime::profile::TelemetrySegment> tele;
+      std::unique_ptr<runtime::RankSegment> seg;
       if (!a.telemetry.empty()) {
-        tele = std::make_unique<runtime::profile::TelemetrySegment>(
-            a.telemetry, 1, "cluster " + a.input);
+        seg = std::make_unique<runtime::RankSegment>(1, "cluster " + a.input,
+                                                     a.telemetry);
         std::printf("telemetry: %s (attach with kb2_top --segment %s)\n",
-                    tele->name().c_str(), tele->name().c_str());
+                    seg->name().c_str(), seg->name().c_str());
       }
       runtime::Context ctx(params.seed);
       if (a.trace) ctx.enable_comm_metrics();
       if (!a.trace_json.empty()) ctx.enable_timeline();
       if (a.profile) {
-        ctx.enable_profiler({},
-                            tele != nullptr ? tele->slot(0) : nullptr);
+        ctx.enable_profiler({}, seg != nullptr ? seg->slot(0) : nullptr);
       }
       if (sink != nullptr) ctx.log().set_sink(sink);
       auto result = core::fit(ctx, d.points, params);
