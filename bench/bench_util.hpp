@@ -1,6 +1,6 @@
 // Shared plumbing for the table/figure reproduction harnesses.
 //
-// Every bench accepts:
+// Every bench accepts (the three counts must be at least 1):
 //   --points-per-rank N   shard size (default: scaled-down for a laptop/CI)
 //   --ranks N             simulated MPI ranks
 //   --runs N              independent repetitions (paper: 20)
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -82,12 +83,23 @@ struct Options {
         }
         return argv[++i];
       };
+      // A count below 1 would measure nothing (or crash the harness).
+      auto count = [&](const char* flag) -> long long {
+        const long long v = std::strtoll(next(flag), nullptr, 10);
+        if (v < 1 || v > std::numeric_limits<int>::max()) {
+          std::fprintf(stderr, "%s must be a count from 1 to %d\n", flag,
+                       std::numeric_limits<int>::max());
+          std::exit(2);
+        }
+        return v;
+      };
       if (!std::strcmp(argv[i], "--points-per-rank")) {
-        o.points_per_rank = std::strtoull(next("--points-per-rank"), nullptr, 10);
+        o.points_per_rank =
+            static_cast<std::size_t>(count("--points-per-rank"));
       } else if (!std::strcmp(argv[i], "--ranks")) {
-        o.ranks = std::atoi(next("--ranks"));
+        o.ranks = static_cast<int>(count("--ranks"));
       } else if (!std::strcmp(argv[i], "--runs")) {
-        o.runs = std::atoi(next("--runs"));
+        o.runs = static_cast<int>(count("--runs"));
       } else if (!std::strcmp(argv[i], "--seed")) {
         o.seed = std::strtoull(next("--seed"), nullptr, 10);
       } else if (!std::strcmp(argv[i], "--full")) {
@@ -166,11 +178,9 @@ inline Accuracy score_labels(std::vector<int> predicted,
 ///   * rows    — every MethodSeries::print_row call (mean/stddev per column),
 ///   * series  — ad-hoc named scalar series a bench wants persisted,
 ///   * captures — merged trace + metrics reports from instrumented fits.
-/// Benches that never capture still get comm metrics: write() runs a small
-/// probe fit (4 ranks, comm metrics enabled) and stores it labeled "probe",
-/// so every BENCH json carries a traffic matrix, stage walls, and latency
-/// quantiles. A singleton so print_row can feed it without threading a
-/// handle through every harness.
+/// A report carries only what its bench measured: a bench that never
+/// captures writes an empty captures array. A singleton so print_row can
+/// feed it without threading a handle through every harness.
 class Reporter {
  public:
   static Reporter& global() {
@@ -207,8 +217,6 @@ class Reporter {
 
   /// Write BENCH_<opt.name>.json into the working directory.
   void write(const Options& opt) {
-    if (captures_.empty()) probe_capture(opt);
-
     runtime::JsonWriter w;
     w.begin_object();
     w.key("bench").value(opt.name);
@@ -343,27 +351,6 @@ class Reporter {
     }
     w.end_array();
     w.end_object();
-  }
-
-  /// Fallback for benches that never call capture(): a small instrumented
-  /// fit whose merged reports stand in, labeled "probe" to keep it distinct
-  /// from anything the bench itself measured.
-  void probe_capture(const Options& opt) {
-    constexpr int kProbeRanks = 4;
-    constexpr std::size_t kProbePoints = 4000;
-    const auto spec = data::make_paper_mixture(8, 3, opt.seed);
-    const auto d = data::sample(spec, kProbePoints, opt.seed + 1);
-    const auto shards = data::shard(d, kProbeRanks);
-    core::Params params;
-    params.seed = opt.seed;
-    params.bootstrap_trials = 2;
-    comm::run_ranks(kProbeRanks, [&](comm::Communicator& c) {
-      runtime::Context ctx(c, params.seed);
-      ctx.enable_comm_metrics();
-      (void)core::fit(ctx, shards[static_cast<std::size_t>(c.rank())].points,
-                      params);
-      capture(ctx, "probe");
-    });
   }
 
   std::string section_;

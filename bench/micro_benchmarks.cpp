@@ -288,9 +288,9 @@ BENCHMARK(BM_EndToEndFitInstrumented)
 }  // namespace
 
 // Hand-rolled main instead of BENCHMARK_MAIN(): after the benchmark run we
-// emit BENCH_micro_benchmarks.json like every other harness (the merged
-// metrics come from the Reporter's probe fit — google-benchmark owns argv,
-// so the bench options stay at their defaults).
+// emit BENCH_micro_benchmarks.json like every other harness. It carries the
+// machine and build provenance only — google-benchmark prints its own
+// timings and owns argv, so the bench options stay at their defaults.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -4,15 +4,6 @@
 
 namespace keybin2 {
 
-namespace {
-
-/// Set while a thread is executing inside a pool job, so nested
-/// parallel_for calls degrade to inline execution instead of deadlocking on
-/// the single active-job slot.
-thread_local bool inside_pool_job = false;
-
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -33,7 +24,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::drain(Job& job) {
-  inside_pool_job = true;
   for (;;) {
     const std::size_t c = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (c >= job.chunks) break;
@@ -47,7 +37,6 @@ void ThreadPool::drain(Job& job) {
       if (!job.first_error) job.first_error = std::current_exception();
     }
   }
-  inside_pool_job = false;
 }
 
 void ThreadPool::worker_loop() {
@@ -83,7 +72,7 @@ void ThreadPool::parallel_for(
   const std::size_t by_grain = (n + grain - 1) / grain;
   const std::size_t chunks = std::max<std::size_t>(
       1, std::min({n, workers_.size(), by_grain}));
-  if (chunks <= 1 || inside_pool_job) {
+  if (chunks <= 1) {
     fn(0, n);
     return;
   }
@@ -95,16 +84,23 @@ void ThreadPool::parallel_for(
   job.base = n / chunks;
   job.extra = n % chunks;
 
+  bool busy = false;
   {
     std::lock_guard lk(mu_);
-    if (job_ != nullptr) {
-      // Another thread's fork-join is in flight (ranks sharing the global
-      // pool): run inline rather than queueing behind it.
-      fn(0, n);
-      return;
+    busy = job_ != nullptr;
+    if (!busy) {
+      job_ = &job;
+      ++job_generation_;
     }
-    job_ = &job;
-    ++job_generation_;
+  }
+  if (busy) {
+    // Another fork-join is in flight: a rank sharing the global pool, or
+    // this very thread nested inside a chunk (job_ stays set until its owner
+    // has drained and every worker has let go). Run inline rather than
+    // queueing behind it, and outside the lock, which the owner's workers
+    // need to leave their job.
+    fn(0, n);
+    return;
   }
   cv_.notify_all();
 

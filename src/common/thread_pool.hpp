@@ -53,8 +53,9 @@ class ThreadPool {
   /// Grained variant: no chunk is smaller than `grain` items (except the
   /// whole range), so a range of n items forks at most
   /// min(workers, ceil(n / grain)) chunks. Ranges that fit in one grain run
-  /// inline with zero synchronization. A nested call (from inside a worker,
-  /// or while another fork-join is in flight) also runs inline, serially —
+  /// inline with zero synchronization. A call made while another fork-join
+  /// is in flight (from another rank sharing the pool, or nested inside a
+  /// chunk) also runs inline, serially, without holding the pool's lock —
   /// the pool is a flat fork-join, not a scheduler.
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& fn);

@@ -4,8 +4,6 @@
 //   Context
 //   ├── comm::Communicator  — this rank's endpoint (owned SelfComm for
 //   │                         serial runs, or borrowed from the SPMD harness)
-//   ├── ThreadPool          — worker pool for data-parallel kernels
-//   │                         (defaults to the process-wide global_pool())
 //   ├── Rng                 — deterministic per-context random stream,
 //   │                         seeded explicitly
 //   ├── Tracer              — per-rank timed scopes + traffic attribution
@@ -33,7 +31,6 @@
 
 #include "comm/communicator.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "runtime/flight/flight.hpp"
 #include "runtime/health.hpp"
@@ -51,17 +48,13 @@ class Context : private comm::CommProbe {
   /// Distributed context: borrow this rank's communicator endpoint (the
   /// caller — typically run_ranks() — keeps it alive for the context's
   /// lifetime).
-  explicit Context(comm::Communicator& comm, std::uint64_t seed = 42,
-                   ThreadPool* pool = nullptr)
-      : comm_(&comm), pool_(pool != nullptr ? pool : &global_pool()),
-        rng_(seed), tracer_(&comm), log_(comm.rank()) {}
+  explicit Context(comm::Communicator& comm, std::uint64_t seed = 42)
+      : comm_(&comm), rng_(seed), tracer_(&comm), log_(comm.rank()) {}
 
   /// Serial context: owns a single-rank SelfComm.
-  explicit Context(std::uint64_t seed = 42, ThreadPool* pool = nullptr)
+  explicit Context(std::uint64_t seed = 42)
       : owned_comm_(std::make_unique<comm::SelfComm>()),
-        comm_(owned_comm_.get()),
-        pool_(pool != nullptr ? pool : &global_pool()), rng_(seed),
-        tracer_(owned_comm_.get()) {}
+        comm_(owned_comm_.get()), rng_(seed), tracer_(owned_comm_.get()) {}
 
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
@@ -82,7 +75,6 @@ class Context : private comm::CommProbe {
 
   comm::Communicator& comm() { return *comm_; }
   const comm::Communicator& comm() const { return *comm_; }
-  ThreadPool& pool() { return *pool_; }
   Rng& rng() { return rng_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
@@ -275,7 +267,6 @@ class Context : private comm::CommProbe {
 
   std::unique_ptr<comm::Communicator> owned_comm_;  // serial mode only
   comm::Communicator* comm_;
-  ThreadPool* pool_;
   Rng rng_;
   Tracer tracer_;
   MetricsRegistry metrics_;

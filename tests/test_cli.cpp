@@ -1,11 +1,14 @@
 // End-to-end tests of the keybin2 command-line tool: generate a dataset,
-// cluster it with each algorithm, and check outputs and exit codes.
+// cluster it with each algorithm, and check outputs and exit codes. Also
+// the bench harnesses' shared option parser.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "bench/bench_util.hpp"
 #include "data/io.hpp"
 #include "stats/metrics.hpp"
 #include "test_util.hpp"
@@ -255,6 +258,26 @@ TEST_F(CliFitFileTest, CheckpointPausesAndResumesAcrossInvocations) {
   std::FILE* gone = std::fopen(ckpt_path_.c_str(), "rb");
   EXPECT_EQ(gone, nullptr);  // checkpoint consumed on success
   if (gone) std::fclose(gone);
+}
+
+// A bench told to run zero times, on zero ranks or on empty shards would
+// measure nothing and still report OK, so the parser refuses it the way it
+// refuses an unknown flag.
+TEST(BenchOptionsDeathTest, CountsBelowOneExitWithUsageError) {
+  for (const char* flag : {"--runs", "--ranks", "--points-per-rank"}) {
+    for (const char* value : {"0", "-3", "x"}) {
+      SCOPED_TRACE(std::string(flag) + " " + value);
+      std::vector<std::string> args = {"bench", flag, value};
+      std::vector<char*> argv;
+      for (auto& a : args) argv.push_back(a.data());
+      EXPECT_EXIT(keybin2::bench::Options::parse(
+                      static_cast<int>(argv.size()), argv.data()),
+                  ::testing::ExitedWithCode(2), flag);
+    }
+  }
+  char name[] = "bench", runs[] = "--runs", one[] = "1";
+  char* argv[] = {name, runs, one};
+  EXPECT_EQ(keybin2::bench::Options::parse(3, argv).runs, 1);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 // fit runs on BOTH backends, the respawn story (a SIGKILL'd rank's
 // replacement incarnation reclaims the same telemetry slot with a bumped
 // incarnation number), and the Context's one wiring point (planes enabled
-// in any order see each other).
+// in any order see each other, and leave the fit bit-identical).
 //
 // The CPU burners busy-spin, never sleep: the SIGPROF engine samples CPU
 // time (ITIMER_PROF), so a sleeping rank would legitimately collect zero
@@ -591,6 +591,52 @@ TEST(Context, PlanesWireTheSameInAnyEnableOrder) {
     ASSERT_EQ(slots.size(), 1u);
     EXPECT_EQ(slots[0].slot.state, TelemetrySlot::kDone);
     EXPECT_EQ(slots[0].slot.anomalies, anomalies);
+  }
+}
+
+TEST(Context, PlanesLeaveTheFitBitIdenticalOnBothBackends) {
+  // Every plane observes the fit; none may change it. With the timeline,
+  // health monitor, flight recorder and profiler (publishing into a
+  // telemetry slot) all on, each rank's model bytes and labels must equal
+  // the plain fit's, over threads and over forked ranks alike.
+  const auto spec = data::make_paper_mixture(8, 3, 4);
+  const auto shards = data::shard(data::sample(spec, 4000, 5), 4);
+  core::Params params;
+  ProfilerConfig cfg;
+  cfg.sample_interval_us = 500;
+  HealthConfig eager;  // alarms on every repeated scope: the planes all act
+  eager.warmup = 1;
+  eager.min_wall_ns = 0;
+  eager.latency_factor = 0.0;
+  RankSegment seg(4, "non-perturbation");
+  const auto fit_blobs = [&](comm::Backend backend, bool planes) {
+    comm::LaunchOptions launch;
+    launch.backend = backend;
+    return comm::run_ranks_collect_bytes(
+        launch, 4, [&](comm::Communicator& c) -> std::vector<std::byte> {
+          Context ctx(c, params.seed);
+          if (planes) {
+            ctx.enable_timeline();
+            ctx.enable_health_monitor(eager);
+            ctx.enable_flight_recorder(&seg);
+            ctx.enable_profiler(cfg, seg.slot(c.rank()));
+          }
+          const auto result = core::fit(
+              ctx, shards[static_cast<std::size_t>(c.rank())].points, params);
+          ByteWriter w;
+          result.model.serialize(w);
+          w.write_vec(result.labels);
+          return w.take();
+        });
+  };
+  const auto plain = fit_blobs(comm::Backend::kThread, false);
+  for (const auto backend : {comm::Backend::kThread, comm::Backend::kProcess}) {
+    SCOPED_TRACE(comm::backend_name(backend));
+    const auto observed = fit_blobs(backend, true);
+    ASSERT_EQ(observed.size(), plain.size());
+    for (std::size_t r = 0; r < plain.size(); ++r) {
+      EXPECT_EQ(observed[r], plain[r]) << "the planes changed rank " << r;
+    }
   }
 }
 

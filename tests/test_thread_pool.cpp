@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -10,6 +16,29 @@
 
 namespace keybin2 {
 namespace {
+
+/// A one-shot signal between test threads. Waits carry a deadline, so a
+/// pool that blocks a caller it should not fails the test instead of
+/// hanging it.
+class Latch {
+ public:
+  void open() {
+    {
+      std::lock_guard lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  bool wait() {
+    std::unique_lock lk(mu_);
+    return cv_.wait_for(lk, std::chrono::seconds(10), [&] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
 
 TEST(ThreadPool, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
@@ -166,6 +195,66 @@ TEST(ThreadPool, CallerOutlivesEveryWorkerThatTookItsJob) {
   stop.store(true);
   for (auto& t : busy) t.join();
   EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ThreadPool, OwnerReturnsWhileAnotherCallersFallbackKernelRuns) {
+  // Caller A owns the fork-join; caller B arrives while it is in flight and
+  // runs its own kernel inline. A's workers must be able to leave A's job
+  // while B's kernel runs, so A returns first.
+  ThreadPool pool(4);
+  Latch a_in_kernel, b_in_kernel, a_returned;
+  bool b_saw_a_return = false;
+  std::thread b([&] {
+    if (!a_in_kernel.wait()) return;
+    pool.parallel_for(4, [&](std::size_t, std::size_t) {
+      b_in_kernel.open();
+      b_saw_a_return = a_returned.wait();
+    });
+  });
+  pool.parallel_for(4, [&](std::size_t, std::size_t) {
+    a_in_kernel.open();
+    (void)b_in_kernel.wait();  // keeps A's job in flight until B runs inline
+  });
+  a_returned.open();
+  b.join();
+  EXPECT_TRUE(b_saw_a_return)
+      << "the owner returned only after the fallback kernel had ended";
+}
+
+/// Caller B runs a kernel inline while caller A's fork-join is in flight,
+/// and that kernel calls parallel_for itself. Returns the items the nested
+/// call covered.
+std::size_t parallel_for_inside_a_fallback_kernel() {
+  ThreadPool pool(4);
+  Latch a_in_kernel, b_returned;
+  std::atomic<std::size_t> nested{0};
+  std::thread b([&] {
+    if (!a_in_kernel.wait()) return;
+    pool.parallel_for(4, [&](std::size_t, std::size_t) {
+      pool.parallel_for(10, [&](std::size_t lo, std::size_t hi) {
+        nested.fetch_add(hi - lo);
+      });
+    });
+    b_returned.open();
+  });
+  pool.parallel_for(4, [&](std::size_t, std::size_t) {
+    a_in_kernel.open();
+    (void)b_returned.wait();  // keeps A's job in flight until B is done
+  });
+  b.join();
+  return nested.load();
+}
+
+TEST(ThreadPoolDeathTest, ParallelForInsideAFallbackKernelReturns) {
+  // A deadlock cannot be joined, so the scenario runs in a child process
+  // whose alarm turns a hang into a failed exit.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        alarm(30);
+        std::exit(parallel_for_inside_a_fallback_kernel() == 10 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 class ThreadPoolShapes

@@ -77,16 +77,17 @@
 #                                  # trace_check --postmortem
 #   tools/check_tier1.sh --perf-gate
 #                                  # build, rerun bench/kernel_fusion,
-#                                  # bench/comm_backends,
-#                                  # bench/profile_overhead,
-#                                  # bench/flight_overhead, and
-#                                  # bench/table2_scaling with the committed
-#                                  # baselines' exact options, and gate with
-#                                  # kb2_analyze --compare against
+#                                  # bench/overhead and bench/table2_scaling
+#                                  # with the committed baselines' exact
+#                                  # options, and gate with kb2_analyze
+#                                  # --compare against
 #                                  # bench/baselines/BENCH_*.json; also
 #                                  # self-tests the gate by proving a
 #                                  # synthetic 2x slowdown (--scale-time 2)
-#                                  # fails
+#                                  # fails. Every bench is judged; one
+#                                  # verdict line per bench, and the gate
+#                                  # fails if any bench, compare or
+#                                  # self-test did
 #
 # The sanitizer modes build into their own directories
 # (build-tsan/build-asan/build-ubsan) so they never dirty the primary build.
@@ -389,17 +390,19 @@ fi
 if [[ "${perf_gate}" == "1" ]]; then
   # Continuous perf-regression gate: rerun each bench with its committed
   # baseline's exact options and compare. The second compare proves the
-  # gate itself still trips: a synthetic 2x slowdown must FAIL.
-  # table2_scaling runs its comm-mode sweep at full gate scale, so its
-  # nonzero exit on a missed bytes/ARI/auto-selection bar fails the gate
-  # before the baseline comparison does.
+  # gate itself still trips: a synthetic 2x slowdown must FAIL. A bench's
+  # own nonzero exit fails it too: table2_scaling runs its comm-mode sweep at
+  # full gate scale and exits nonzero on a missed bytes/ARI/auto-selection
+  # bar, overhead on a missed overhead bar or a fingerprint divergence.
+  # Every bench runs, compares and self-tests even after an earlier one
+  # failed; one verdict line per bench closes the gate.
   gate_dir="$(mktemp -d)"
   trap 'rm -rf "${gate_dir}"' EXIT
-  for bench in kernel_fusion comm_backends profile_overhead flight_overhead \
-               table2_scaling; do
+  verdicts=()
+  gate_failed=0
+  for bench in kernel_fusion overhead table2_scaling; do
     baseline="${repo_root}/bench/baselines/BENCH_${bench}.json"
-    [[ -f "${baseline}" ]] \
-      || { echo "perf gate: missing baseline ${baseline}" >&2; exit 1; }
+    report="${gate_dir}/BENCH_${bench}.json"
     case "${bench}" in
       # table2 runs its stages at small per-rank sizes, so sub-50ms stage
       # walls are scheduler jitter: judge only bytes (still gated for every
@@ -413,16 +416,31 @@ if [[ "${perf_gate}" == "1" ]]; then
         compare_opts=()
         ;;
     esac
-    (cd "${gate_dir}" && "${build_dir}/bench/${bench}" "${bench_opts[@]}")
-    "${build_dir}/tools/kb2_analyze" --compare "${baseline}" \
-      "${gate_dir}/BENCH_${bench}.json" "${compare_opts[@]}"
-    if "${build_dir}/tools/kb2_analyze" --compare "${baseline}" \
-      "${gate_dir}/BENCH_${bench}.json" "${compare_opts[@]}" \
-      --scale-time 2.0 >/dev/null; then
-      echo "perf gate: self-test failed (2x slowdown passed ${bench})" >&2
-      exit 1
+    failed=()
+    (cd "${gate_dir}" && "${build_dir}/bench/${bench}" "${bench_opts[@]}") \
+      || failed+=("bench exited nonzero")
+    if [[ ! -f "${baseline}" ]]; then
+      failed+=("missing baseline ${baseline}")
+    else
+      "${build_dir}/tools/kb2_analyze" --compare "${baseline}" "${report}" \
+        "${compare_opts[@]}" || failed+=("compare")
+      if "${build_dir}/tools/kb2_analyze" --compare "${baseline}" \
+        "${report}" "${compare_opts[@]}" --scale-time 2.0 >/dev/null; then
+        failed+=("self-test: a 2x slowdown passed")
+      fi
+    fi
+    if ((${#failed[@]} == 0)); then
+      verdicts+=("perf gate: ${bench}: PASS")
+    else
+      verdicts+=("perf gate: ${bench}: FAIL ($(IFS=';'; echo "${failed[*]}"))")
+      gate_failed=1
     fi
   done
+  printf '%s\n' "${verdicts[@]}"
+  if [[ "${gate_failed}" == "1" ]]; then
+    echo "perf gate: FAIL" >&2
+    exit 1
+  fi
   echo "perf gate: OK (and self-test trips on synthetic 2x slowdown)"
   exit 0
 fi
