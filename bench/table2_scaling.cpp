@@ -200,7 +200,7 @@ bool run_comm_mode_sweep(const bench::Options& opt) {
     const auto coreset = sweep_fit(d, core::CommMode::kCoreset, run_seed);
     const auto autom = sweep_fit(d, core::CommMode::kAuto, run_seed);
 
-    std::printf("run %d clusters: dense %d sparse %d coreset %d auto %d\n",
+    std::printf("run %d clusters: dense %zu sparse %zu coreset %zu auto %zu\n",
                 run, stats::distinct_labels(dense.labels),
                 stats::distinct_labels(sparse.labels),
                 stats::distinct_labels(coreset.labels),

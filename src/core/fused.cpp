@@ -11,7 +11,6 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "core/projection.hpp"
 
 namespace keybin2::core {
 
@@ -22,110 +21,15 @@ namespace {
 constexpr std::size_t kProjectGrain = 1024;
 constexpr std::size_t kBinGrain = 4096;
 
-// ---- Compile-time-RP row kernels -----------------------------------------
+// ---- Compile-time-RP key/bin kernels -------------------------------------
 //
-// The projected dimensionality is tiny (the paper's rule gives 2-9), so the
-// hot loops are specialized on it: with RP a compile-time constant the
-// per-row accumulators live in registers, the j-loops fully unroll, and the
-// divisions in the key computation pipeline independently instead of
-// serializing through one memory-carried chain. Every specialization
-// performs the IDENTICAL per-lane operation sequence as the generic code
-// (same i-order, same mul-then-add, zero-skip preserved, no FP contraction —
-// fused.cpp is built with -ffp-contract=off), so results stay bit-identical.
-
-template <int RP>
-void project_envelope_rows(const double* __restrict pts, std::size_t in_dims,
-                           const double* __restrict a, double* __restrict out,
-                           std::size_t begin, std::size_t end,
-                           double* __restrict lo, double* __restrict hi) {
-  double vlo[RP], vhi[RP];
-  for (int j = 0; j < RP; ++j) {
-    vlo[j] = lo[j];
-    vhi[j] = hi[j];
-  }
-  // Four points in flight: each point's accumulator chain is a strict
-  // k-ordered sequence of adds (the bit-identity contract), so a single
-  // point is latency-bound on vaddpd; four independent chains fill the
-  // pipeline. Lane order within each point is untouched.
-  std::size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    const double* r0 = pts + i * in_dims;
-    const double* r1 = r0 + in_dims;
-    const double* r2 = r1 + in_dims;
-    const double* r3 = r2 + in_dims;
-    double a0[RP] = {}, a1[RP] = {}, a2[RP] = {}, a3[RP] = {};
-    for (std::size_t k = 0; k < in_dims; ++k) {
-      const double* ar = a + k * static_cast<std::size_t>(RP);
-      const double x0 = r0[k], x1 = r1[k], x2 = r2[k], x3 = r3[k];
-      if (x0 != 0.0) {  // same zero-skip as project_point
-        for (int j = 0; j < RP; ++j) a0[j] += x0 * ar[j];
-      }
-      if (x1 != 0.0) {
-        for (int j = 0; j < RP; ++j) a1[j] += x1 * ar[j];
-      }
-      if (x2 != 0.0) {
-        for (int j = 0; j < RP; ++j) a2[j] += x2 * ar[j];
-      }
-      if (x3 != 0.0) {
-        for (int j = 0; j < RP; ++j) a3[j] += x3 * ar[j];
-      }
-    }
-    double* dst = out + i * static_cast<std::size_t>(RP);
-    for (int j = 0; j < RP; ++j) {  // envelope folds stay in row order
-      dst[j] = a0[j];
-      dst[RP + j] = a1[j];
-      dst[2 * RP + j] = a2[j];
-      dst[3 * RP + j] = a3[j];
-      vlo[j] = std::min(std::min(std::min(std::min(vlo[j], a0[j]), a1[j]),
-                                 a2[j]),
-                        a3[j]);
-      vhi[j] = std::max(std::max(std::max(std::max(vhi[j], a0[j]), a1[j]),
-                                 a2[j]),
-                        a3[j]);
-    }
-  }
-  for (; i < end; ++i) {
-    const double* row = pts + i * in_dims;
-    double acc[RP] = {};
-    for (std::size_t k = 0; k < in_dims; ++k) {
-      const double xi = row[k];
-      if (xi == 0.0) continue;
-      const double* ar = a + k * static_cast<std::size_t>(RP);
-      for (int j = 0; j < RP; ++j) acc[j] += xi * ar[j];
-    }
-    double* dst = out + i * static_cast<std::size_t>(RP);
-    for (int j = 0; j < RP; ++j) {
-      dst[j] = acc[j];
-      vlo[j] = std::min(vlo[j], acc[j]);
-      vhi[j] = std::max(vhi[j], acc[j]);
-    }
-  }
-  for (int j = 0; j < RP; ++j) {
-    lo[j] = vlo[j];
-    hi[j] = vhi[j];
-  }
-}
-
-void project_envelope_rows_generic(const double* pts, std::size_t in_dims,
-                                   std::size_t rp, const double* a,
-                                   double* out, std::size_t begin,
-                                   std::size_t end, double* lo, double* hi) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const double* row = pts + i * in_dims;
-    double* dst = out + i * rp;
-    for (std::size_t j = 0; j < rp; ++j) dst[j] = 0.0;
-    for (std::size_t k = 0; k < in_dims; ++k) {
-      const double xi = row[k];
-      if (xi == 0.0) continue;
-      const double* ar = a + k * rp;
-      for (std::size_t j = 0; j < rp; ++j) dst[j] += xi * ar[j];
-    }
-    for (std::size_t j = 0; j < rp; ++j) {
-      lo[j] = std::min(lo[j], dst[j]);
-      hi[j] = std::max(hi[j], dst[j]);
-    }
-  }
-}
+// The projected dimensionality is tiny (the paper's rule gives 2-9), so pass
+// B is specialized on it: with RP a compile-time constant the j-loops fully
+// unroll and the divisions in the key computation pipeline independently
+// instead of serializing through one memory-carried chain. Every
+// specialization performs the IDENTICAL per-lane operation sequence as
+// fused_key (fused.cpp is built with -ffp-contract=off), so keys and counts
+// stay bit-identical.
 
 template <int RP>
 void key_bin_rows(const double* __restrict proj,
@@ -173,12 +77,9 @@ void key_bin_rows(const double* __restrict proj,
 
 #if defined(__AVX2__)
 
-// ---- Explicit AVX2 kernels for the ymm-aligned widths (RP = 4, 8) --------
+// ---- AVX2 kernels ----------------------------------------------------------
 //
-// GCC scalarizes the accumulator arrays across the zero-skip branches and
-// never re-vectorizes them, so the template kernels above compile to scalar
-// code. These intrinsic versions are lane-for-lane identical to the scalar
-// reference:
+// Every intrinsic kernel is lane-for-lane identical to its scalar reference:
 //   * vmulpd/vaddpd/vsubpd/vdivpd are per-lane IEEE ops, and writing mul and
 //     add as separate intrinsics keeps them unfused (-ffp-contract=off).
 //   * std::min(x, y) returns x on ties (signed zeros!) and y only when
@@ -191,6 +92,110 @@ void key_bin_rows(const double* __restrict proj,
 //   * vcvttpd2dq truncates toward zero exactly like the scalar int32 cast
 //     (the clamp bounds p to [0, 2^24), so the value is always in range).
 
+// One tile of the projection: R rows x NB column blocks of 4 lanes. Each
+// lane runs project_point's sequence — accumulator from +0, k ascending,
+// multiply then add — so its result is bit-identical. project_point's skip of
+// x == 0 terms is dropped: it is unobservable in the result bits, because
+// 0 * a is ±0 for finite a, the accumulator starts at +0 and never becomes
+// -0 under addition (x + -x rounds to +0), and adding ±0 to {+0, nonzero} is
+// the identity. It would matter only for an inf/NaN matrix entry, which
+// make_projection_matrix never emits and the readers reject. With kTail the
+// last block holds the `tail` lanes of a width that is not a multiple of 4:
+// masked loads read zeros beyond it and masked stores leave the memory there
+// alone. The tile folds its rows into the block envelopes in row order.
+template <int R, int NB, bool kTail>
+[[gnu::always_inline]] inline void project_tile(
+    const double* x, std::size_t in_dims, const double* a, std::size_t cols,
+    double* out, __m256i tail, __m256d (&lo)[NB], __m256d (&hi)[NB]) {
+  __m256d acc[R][NB];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b) acc[r][b] = _mm256_setzero_pd();
+  }
+  for (std::size_t k = 0; k < in_dims; ++k) {
+    const double* ak = a + k * cols;
+    __m256d av[NB];
+#pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b) {
+      av[b] = kTail && b == NB - 1 ? _mm256_maskload_pd(ak + 4 * b, tail)
+                                   : _mm256_loadu_pd(ak + 4 * b);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256d xr = _mm256_broadcast_sd(x + r * in_dims + k);
+#pragma GCC unroll 8
+      for (int b = 0; b < NB; ++b) {
+        acc[r][b] = _mm256_add_pd(acc[r][b], _mm256_mul_pd(xr, av[b]));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    double* dst = out + r * cols;
+#pragma GCC unroll 8
+    for (int b = 0; b < NB; ++b) {
+      if (kTail && b == NB - 1) {
+        _mm256_maskstore_pd(dst + 4 * b, tail, acc[r][b]);
+      } else {
+        _mm256_storeu_pd(dst + 4 * b, acc[r][b]);
+      }
+      lo[b] = _mm256_min_pd(acc[r][b], lo[b]);  // std::min(lo, acc)
+      hi[b] = _mm256_max_pd(acc[r][b], hi[b]);
+    }
+  }
+}
+
+// One group of NB column blocks over every row. Narrow groups keep several
+// rows in flight, about eight accumulators in all: each lane's chain of adds
+// is strictly k-ordered (the bit-identity contract), so one narrow row is
+// latency-bound on vaddpd and independent rows fill the pipeline.
+template <int NB, bool kTail>
+void project_group(const double* x, std::size_t rows, std::size_t in_dims,
+                   const double* a, std::size_t cols, double* out,
+                   __m256i tail, double* lo, double* hi) {
+  constexpr int R = NB == 1 ? 8 : NB == 2 ? 4 : NB <= 4 ? 2 : 1;
+  __m256d vlo[NB], vhi[NB];
+  for (int b = 0; b < NB; ++b) {
+    vlo[b] = lo ? _mm256_loadu_pd(lo + 4 * b)
+                : _mm256_set1_pd(std::numeric_limits<double>::infinity());
+    vhi[b] = hi ? _mm256_loadu_pd(hi + 4 * b)
+                : _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+  }
+  std::size_t r = 0;
+  for (; r + R <= rows; r += R) {
+    project_tile<R, NB, kTail>(x + r * in_dims, in_dims, a, cols,
+                               out + r * cols, tail, vlo, vhi);
+  }
+  for (; r < rows; ++r) {
+    project_tile<1, NB, kTail>(x + r * in_dims, in_dims, a, cols,
+                               out + r * cols, tail, vlo, vhi);
+  }
+  if (lo) {
+    for (int b = 0; b < NB; ++b) {
+      _mm256_storeu_pd(lo + 4 * b, vlo[b]);
+      _mm256_storeu_pd(hi + 4 * b, vhi[b]);
+    }
+  }
+}
+
+// project_group with the last block masked to its first `tail_lanes` lanes,
+// or unmasked when the group ends on a whole block (tail_lanes == 0).
+template <int NB>
+void project_blocks(const double* x, std::size_t rows, std::size_t in_dims,
+                    const double* a, std::size_t cols, double* out,
+                    std::size_t tail_lanes, double* lo, double* hi) {
+  if (tail_lanes == 0) {
+    project_group<NB, false>(x, rows, in_dims, a, cols, out,
+                             _mm256_setzero_si256(), lo, hi);
+    return;
+  }
+  const __m256i tail = _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(tail_lanes)),
+      _mm256_set_epi64x(3, 2, 1, 0));
+  project_group<NB, true>(x, rows, in_dims, a, cols, out, tail, lo, hi);
+}
+
 // Each 64-bit compare lane is all-ones or all-zeros; picking the even 32-bit
 // words compresses it to a 4 x int32 mask in lane order.
 inline __m128i mask64_to_mask32(__m256d m) {
@@ -200,173 +205,14 @@ inline __m128i mask64_to_mask32(__m256d m) {
   return _mm_castps_si128(_mm_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0)));
 }
 
-// Non-temporal store of one ymm value: full-width when the destination is
-// 32-byte aligned, two xmm streams at 16-byte alignment (malloc's
-// guarantee), regular store otherwise. All produce identical memory
-// contents; streaming just skips the read-for-ownership of a buffer that is
-// written once and not read until it has left the cache anyway.
-enum class StreamMode { kNone, kXmm, kYmm };
-
-inline StreamMode stream_mode(const void* base) {
-  const auto addr = reinterpret_cast<std::uintptr_t>(base);
-  if ((addr & 31) == 0) return StreamMode::kYmm;
-  if ((addr & 15) == 0) return StreamMode::kXmm;
-  return StreamMode::kNone;
-}
-
-inline void store_row(double* dst, __m256d v, StreamMode mode) {
-  switch (mode) {
-    case StreamMode::kYmm:
-      _mm256_stream_pd(dst, v);
-      break;
-    case StreamMode::kXmm:
-      _mm_stream_pd(dst, _mm256_castpd256_pd128(v));
-      _mm_stream_pd(dst + 2, _mm256_extractf128_pd(v, 1));
-      break;
-    case StreamMode::kNone:
-      _mm256_storeu_pd(dst, v);
-      break;
-  }
-}
-
-void project_envelope_rows_avx2_rp4(const double* pts, std::size_t in_dims,
-                                    const double* a, double* out,
-                                    std::size_t begin, std::size_t end,
-                                    double* lo, double* hi) {
-  __m256d vlo = _mm256_loadu_pd(lo);
-  __m256d vhi = _mm256_loadu_pd(hi);
-  // Output offsets advance by 32-byte multiples, so one base-alignment check
-  // picks the streaming mode for the whole chunk.
-  const StreamMode nt = stream_mode(out);
-  std::size_t i = begin;
-  for (; i + 4 <= end; i += 4) {
-    const double* r0 = pts + i * in_dims;
-    const double* r1 = r0 + in_dims;
-    const double* r2 = r1 + in_dims;
-    const double* r3 = r2 + in_dims;
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = a0, a2 = a0, a3 = a0;
-    // No zero-skip branch here: project_point's skip of x == 0 terms is
-    // unobservable in the result bits. The product 0.0 * ar is +/-0 for any
-    // finite ar, the accumulators start at +0 and can never become -0 under
-    // addition (x + -x rounds to +0), and adding +/-0 to {+0, nonzero} is the
-    // identity. The skip only matters if the projection matrix holds inf/NaN,
-    // which make_projection_matrix never emits.
-    for (std::size_t k = 0; k < in_dims; ++k) {
-      const __m256d ar = _mm256_loadu_pd(a + k * 4);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_set1_pd(r0[k]), ar));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_set1_pd(r1[k]), ar));
-      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_set1_pd(r2[k]), ar));
-      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_set1_pd(r3[k]), ar));
-    }
-    double* dst = out + i * 4;
-    store_row(dst, a0, nt);
-    store_row(dst + 4, a1, nt);
-    store_row(dst + 8, a2, nt);
-    store_row(dst + 12, a3, nt);
-    vlo = _mm256_min_pd(a0, vlo);  // std::min(vlo, a0), row order preserved
-    vlo = _mm256_min_pd(a1, vlo);
-    vlo = _mm256_min_pd(a2, vlo);
-    vlo = _mm256_min_pd(a3, vlo);
-    vhi = _mm256_max_pd(a0, vhi);
-    vhi = _mm256_max_pd(a1, vhi);
-    vhi = _mm256_max_pd(a2, vhi);
-    vhi = _mm256_max_pd(a3, vhi);
-  }
-  if (nt != StreamMode::kNone) {
-    _mm_sfence();  // order streaming stores before the pool join
-  }
-  _mm256_storeu_pd(lo, vlo);
-  _mm256_storeu_pd(hi, vhi);
-  for (; i < end; ++i) {
-    const double* row = pts + i * in_dims;
-    double acc[4] = {};
-    for (std::size_t k = 0; k < in_dims; ++k) {
-      const double xi = row[k];
-      if (xi == 0.0) continue;
-      const double* ar = a + k * 4;
-      for (int j = 0; j < 4; ++j) acc[j] += xi * ar[j];
-    }
-    double* dst = out + i * 4;
-    for (int j = 0; j < 4; ++j) {
-      dst[j] = acc[j];
-      lo[j] = std::min(lo[j], acc[j]);
-      hi[j] = std::max(hi[j], acc[j]);
-    }
-  }
-}
-
-void project_envelope_rows_avx2_rp8(const double* pts, std::size_t in_dims,
-                                    const double* a, double* out,
-                                    std::size_t begin, std::size_t end,
-                                    double* lo, double* hi) {
-  __m256d vlo0 = _mm256_loadu_pd(lo);
-  __m256d vlo1 = _mm256_loadu_pd(lo + 4);
-  __m256d vhi0 = _mm256_loadu_pd(hi);
-  __m256d vhi1 = _mm256_loadu_pd(hi + 4);
-  const StreamMode nt = stream_mode(out);
-  std::size_t i = begin;
-  for (; i + 2 <= end; i += 2) {  // 2 points x 2 ymm = 4 independent chains
-    const double* r0 = pts + i * in_dims;
-    const double* r1 = r0 + in_dims;
-    __m256d a00 = _mm256_setzero_pd();
-    __m256d a01 = a00, a10 = a00, a11 = a00;
-    // Branch-free: skipping x == 0 terms is unobservable in the result bits
-    // for a finite projection matrix (see the width-4 kernel note).
-    for (std::size_t k = 0; k < in_dims; ++k) {
-      const __m256d ar0 = _mm256_loadu_pd(a + k * 8);
-      const __m256d ar1 = _mm256_loadu_pd(a + k * 8 + 4);
-      const __m256d b0 = _mm256_set1_pd(r0[k]);
-      const __m256d b1 = _mm256_set1_pd(r1[k]);
-      a00 = _mm256_add_pd(a00, _mm256_mul_pd(b0, ar0));
-      a01 = _mm256_add_pd(a01, _mm256_mul_pd(b0, ar1));
-      a10 = _mm256_add_pd(a10, _mm256_mul_pd(b1, ar0));
-      a11 = _mm256_add_pd(a11, _mm256_mul_pd(b1, ar1));
-    }
-    double* dst = out + i * 8;
-    store_row(dst, a00, nt);
-    store_row(dst + 4, a01, nt);
-    store_row(dst + 8, a10, nt);
-    store_row(dst + 12, a11, nt);
-    vlo0 = _mm256_min_pd(a00, vlo0);
-    vlo1 = _mm256_min_pd(a01, vlo1);
-    vhi0 = _mm256_max_pd(a00, vhi0);
-    vhi1 = _mm256_max_pd(a01, vhi1);
-    vlo0 = _mm256_min_pd(a10, vlo0);
-    vlo1 = _mm256_min_pd(a11, vlo1);
-    vhi0 = _mm256_max_pd(a10, vhi0);
-    vhi1 = _mm256_max_pd(a11, vhi1);
-  }
-  if (nt != StreamMode::kNone) _mm_sfence();
-  _mm256_storeu_pd(lo, vlo0);
-  _mm256_storeu_pd(lo + 4, vlo1);
-  _mm256_storeu_pd(hi, vhi0);
-  _mm256_storeu_pd(hi + 4, vhi1);
-  for (; i < end; ++i) {
-    const double* row = pts + i * in_dims;
-    double acc[8] = {};
-    for (std::size_t k = 0; k < in_dims; ++k) {
-      const double xi = row[k];
-      if (xi == 0.0) continue;
-      const double* ar = a + k * 8;
-      for (int j = 0; j < 8; ++j) acc[j] += xi * ar[j];
-    }
-    double* dst = out + i * 8;
-    for (int j = 0; j < 8; ++j) {
-      dst[j] = acc[j];
-      lo[j] = std::min(lo[j], acc[j]);
-      hi[j] = std::max(hi[j], acc[j]);
-    }
-  }
-}
-
 // Pass B, width 4: vectorized key computation with direct stores, then a
 // separate scalar accumulation loop (the scatter increments cannot
 // vectorize, so keeping them out of the SIMD loop lets it stay branch-free).
 // Alternating rows between two count replicas (c1 != nullptr) breaks the
 // store-to-load forwarding chains that clustered inputs create when
 // consecutive rows land in the same bin; the replicas hold integer-valued
-// doubles, so folding them afterwards sums exactly.
+// doubles, so folding them afterwards sums exactly. With c0 == nullptr only
+// the keys are written (fused_keys).
 void key_bin_rows_avx2_rp4(const double* proj, const BinScale* s,
                            std::uint32_t* keys, double* c0, double* c1,
                            std::size_t bins, std::size_t begin,
@@ -401,6 +247,7 @@ void key_bin_rows_avx2_rp4(const double* proj, const BinScale* s,
       b = _mm_blendv_epi8(b, last, m_ge);  // x >= hi -> last bin
       _mm_storeu_si128(reinterpret_cast<__m128i*>(keys + i * 4), b);
     }
+    if (c0 == nullptr) continue;
     for (std::size_t i = bs; i < bend; ++i) {
       const std::uint32_t* krow = keys + i * 4;
       double* c = (c1 != nullptr && (i & 1)) ? c1 : c0;
@@ -463,6 +310,7 @@ void key_bin_rows_avx2_rp8(const double* proj, const BinScale* s,
       _mm_storeu_si128(reinterpret_cast<__m128i*>(keys + i * 8), b0);
       _mm_storeu_si128(reinterpret_cast<__m128i*>(keys + i * 8 + 4), b1);
     }
+    if (c0 == nullptr) continue;
     for (std::size_t i = bs; i < bend; ++i) {
       const std::uint32_t* krow = keys + i * 8;
       double* c = (c1 != nullptr && (i & 1)) ? c1 : c0;
@@ -508,6 +356,48 @@ BinScale make_bin_scale(const Range& range, int d_max) {
   return s;
 }
 
+void project_rows(const double* x, std::size_t rows, std::size_t in_dims,
+                  const double* a, std::size_t cols, double* out, double* lo,
+                  double* hi) {
+#if defined(__AVX2__)
+  // At most eight blocks per group: eight accumulators, the broadcast and
+  // the matrix loads fit the sixteen ymm registers.
+  constexpr std::size_t kGroup = 8;
+  const std::size_t blocks = (cols + 3) / 4;
+  for (std::size_t g = 0; g < blocks; g += kGroup) {
+    const std::size_t nb = std::min(kGroup, blocks - g);
+    const std::size_t tail = g + nb == blocks ? cols % 4 : 0;
+    const std::size_t c = 4 * g;
+    double* glo = lo ? lo + c : nullptr;
+    double* ghi = hi ? hi + c : nullptr;
+    switch (nb) {
+      case 1: project_blocks<1>(x, rows, in_dims, a + c, cols, out + c, tail, glo, ghi); break;
+      case 2: project_blocks<2>(x, rows, in_dims, a + c, cols, out + c, tail, glo, ghi); break;
+      case 3: project_blocks<3>(x, rows, in_dims, a + c, cols, out + c, tail, glo, ghi); break;
+      case 4: project_blocks<4>(x, rows, in_dims, a + c, cols, out + c, tail, glo, ghi); break;
+      case 5: project_blocks<5>(x, rows, in_dims, a + c, cols, out + c, tail, glo, ghi); break;
+      case 6: project_blocks<6>(x, rows, in_dims, a + c, cols, out + c, tail, glo, ghi); break;
+      case 7: project_blocks<7>(x, rows, in_dims, a + c, cols, out + c, tail, glo, ghi); break;
+      default: project_blocks<8>(x, rows, in_dims, a + c, cols, out + c, tail, glo, ghi); break;
+    }
+  }
+#else
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* xr = x + r * in_dims;
+    double* dst = out + r * cols;
+    std::fill(dst, dst + cols, 0.0);
+    for (std::size_t k = 0; k < in_dims; ++k) {
+      const double* ak = a + k * cols;
+      for (std::size_t c = 0; c < cols; ++c) dst[c] += xr[k] * ak[c];
+    }
+    for (std::size_t c = 0; lo && c < cols; ++c) {
+      lo[c] = std::min(lo[c], dst[c]);
+      hi[c] = std::max(hi[c], dst[c]);
+    }
+  }
+#endif
+}
+
 const Matrix& fused_project_envelope(const Matrix& local_points,
                                      const Matrix& projection,
                                      std::size_t dims, FusedWorkspace& ws) {
@@ -542,13 +432,14 @@ const Matrix& fused_project_envelope(const Matrix& local_points,
   const std::size_t in_dims = local_points.cols();
   const double* a = projection.flat().data();
   double* proj_out = identity ? nullptr : ws.projected.flat().data();
+  const std::size_t lanes = project_lanes(dims);
 
   global_pool().parallel_for(rows, kProjectGrain, [&](std::size_t begin,
                                                       std::size_t end) {
     auto& env = ws.chunk_envelopes[cursor.fetch_add(1)];
     env.begin = begin;
-    env.lo.assign(dims, std::numeric_limits<double>::infinity());
-    env.hi.assign(dims, -std::numeric_limits<double>::infinity());
+    env.lo.assign(lanes, std::numeric_limits<double>::infinity());
+    env.hi.assign(lanes, -std::numeric_limits<double>::infinity());
     double* lo = env.lo.data();
     double* hi = env.hi.data();
     if (identity) {
@@ -561,31 +452,8 @@ const Matrix& fused_project_envelope(const Matrix& local_points,
       }
       return;
     }
-    switch (dims) {
-      case 2: project_envelope_rows<2>(pts, in_dims, a, proj_out, begin, end, lo, hi); break;
-      case 3: project_envelope_rows<3>(pts, in_dims, a, proj_out, begin, end, lo, hi); break;
-      case 4:
-#if defined(__AVX2__)
-        project_envelope_rows_avx2_rp4(pts, in_dims, a, proj_out, begin, end, lo, hi);
-#else
-        project_envelope_rows<4>(pts, in_dims, a, proj_out, begin, end, lo, hi);
-#endif
-        break;
-      case 5: project_envelope_rows<5>(pts, in_dims, a, proj_out, begin, end, lo, hi); break;
-      case 6: project_envelope_rows<6>(pts, in_dims, a, proj_out, begin, end, lo, hi); break;
-      case 7: project_envelope_rows<7>(pts, in_dims, a, proj_out, begin, end, lo, hi); break;
-      case 8:
-#if defined(__AVX2__)
-        project_envelope_rows_avx2_rp8(pts, in_dims, a, proj_out, begin, end, lo, hi);
-#else
-        project_envelope_rows<8>(pts, in_dims, a, proj_out, begin, end, lo, hi);
-#endif
-        break;
-      case 9: project_envelope_rows<9>(pts, in_dims, a, proj_out, begin, end, lo, hi); break;
-      default:
-        project_envelope_rows_generic(pts, in_dims, dims, a, proj_out, begin,
-                                      end, lo, hi);
-    }
+    project_rows(pts + begin * in_dims, end - begin, in_dims, a, dims,
+                 proj_out + begin * dims, lo, hi);
   });
 
   // Merge chunk envelopes in row order: min/max keep the first of equal
@@ -603,6 +471,38 @@ const Matrix& fused_project_envelope(const Matrix& local_points,
     }
   }
   return out;
+}
+
+void fused_keys(const Matrix& points, const std::vector<Range>& ranges,
+                int d_max, KeyTable& keys) {
+  const std::size_t dims = points.cols();
+  KB2_CHECK_MSG(ranges.size() == dims, "ranges size " << ranges.size()
+                                                      << " != dims " << dims);
+  std::vector<BinScale> scales(dims);
+  for (std::size_t j = 0; j < dims; ++j) {
+    scales[j] = make_bin_scale(ranges[j], d_max);
+  }
+  const std::size_t rows = points.rows();
+  keys.reshape(rows, dims, d_max);
+  if (rows == 0) return;
+  const double* x = points.flat().data();
+  std::uint32_t* out = &keys.at(0, 0);
+#if defined(__AVX2__)
+  // Pass B's width-4/8 key loops, without their histogram scatter.
+  if (dims == 4) {
+    key_bin_rows_avx2_rp4(x, scales.data(), out, nullptr, nullptr, 0, 0, rows);
+    return;
+  }
+  if (dims == 8) {
+    key_bin_rows_avx2_rp8(x, scales.data(), out, nullptr, nullptr, 0, 0, rows);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < rows * dims; i += dims) {
+    for (std::size_t j = 0; j < dims; ++j) {
+      out[i + j] = fused_key(x[i + j], scales[j]);
+    }
+  }
 }
 
 std::vector<stats::HierarchicalHistogram> fused_key_bin(

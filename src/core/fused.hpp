@@ -23,11 +23,18 @@
 // in tests/test_fused.cpp). In particular the division
 // is NOT replaced by a multiply-with-reciprocal, which would change rounding.
 //
+// Every projection outside the scalar reference runs through one
+// width-generic AVX2 kernel, project_rows: pass A, StreamingKeyBin2::push
+// (all trials' matrices stacked side by side, so a point is projected once)
+// and Model::predict. Each lane of it repeats project_point's operation
+// sequence, so projections stay bit-identical too.
+//
 // All scratch (projected matrix, key table, envelopes, shards) lives in a
 // FusedWorkspace the caller keeps across bootstrap trials, so steady-state
 // trials allocate nothing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -88,6 +95,22 @@ struct FusedWorkspace {
   std::vector<ChunkEnvelope> chunk_envelopes;
 };
 
+/// Lanes project_rows works in for `cols` output columns: `cols` rounded up
+/// to a multiple of 4.
+constexpr std::size_t project_lanes(std::size_t cols) {
+  return (cols + 3) / 4 * 4;
+}
+
+/// The projection kernel: out[r * cols + c] = sum_k x[r * in_dims + k] *
+/// a[k * cols + c] for `rows` contiguous input rows and a row-major
+/// in_dims x cols matrix, bit-identical to project_point on every row for a
+/// finite `a`. When `lo`/`hi` are given (project_lanes(cols) values each),
+/// every output row is folded into them in row order, as std::min/std::max
+/// would; lanes past `cols` hold nothing meaningful.
+void project_rows(const double* x, std::size_t rows, std::size_t in_dims,
+                  const double* a, std::size_t cols, double* out,
+                  double* lo = nullptr, double* hi = nullptr);
+
 /// Pass A: project `local_points` through `projection` (empty => identity)
 /// and compute per-dimension [min, max] envelopes in the same traversal.
 /// `dims` is the projected dimensionality every rank agreed on (an empty
@@ -106,5 +129,11 @@ const Matrix& fused_project_envelope(const Matrix& local_points,
 std::vector<stats::HierarchicalHistogram> fused_key_bin(
     const Matrix& projected, const std::vector<Range>& ranges, int d_max,
     FusedWorkspace& ws);
+
+/// Keys only: fills `keys` exactly like compute_keys(points, ranges, d_max)
+/// for finite `points`, through the hoisted BinScale path (pass B without
+/// the histogram scatter; serial). Reuses `keys`' allocation.
+void fused_keys(const Matrix& points, const std::vector<Range>& ranges,
+                int d_max, KeyTable& keys);
 
 }  // namespace keybin2::core

@@ -1,12 +1,13 @@
 #include "core/model.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "core/projection.hpp"
+#include "core/fused.hpp"
 
 namespace keybin2::core {
 
@@ -135,35 +136,55 @@ int Model::predict(std::span<const double> x) const {
                 "point has " << x.size() << " dims, model expects "
                              << input_dims_);
   if (kept_dims_.empty()) return 0;  // degenerate single-cluster model
-
-  std::vector<std::uint32_t> coord(kept_dims_.size());
-  if (uses_projection()) {
-    std::vector<double> projected(projection_.cols(), 0.0);
-    project_point(x, projection_, projected);
-    for (std::size_t k = 0; k < kept_dims_.size(); ++k) {
-      const auto j = static_cast<std::size_t>(kept_dims_[k]);
-      const auto key = key_of(projected[j], ranges_[j], depths_[k]);
-      coord[k] = partitions_[k].primary_of(key);
-    }
-  } else {
-    for (std::size_t k = 0; k < kept_dims_.size(); ++k) {
-      const auto j = static_cast<std::size_t>(kept_dims_[k]);
-      const auto key = key_of(x[j], ranges_[j], depths_[k]);
-      coord[k] = partitions_[k].primary_of(key);
-    }
-  }
-  return label_of_cell(coord);
+  int label = 0;
+  label_rows(x.data(), 1, &label);
+  return label;
 }
 
 std::vector<int> Model::predict(const Matrix& points) const {
+  KB2_CHECK_MSG(points.rows() == 0 || points.cols() == input_dims_,
+                "points have " << points.cols() << " dims, model expects "
+                               << input_dims_);
   std::vector<int> labels(points.rows(), 0);
+  if (kept_dims_.empty()) return labels;
   global_pool().parallel_for(points.rows(),
                              [&](std::size_t begin, std::size_t end) {
-                               for (std::size_t i = begin; i < end; ++i) {
-                                 labels[i] = predict(points.row(i));
-                               }
+                               label_rows(points.row(begin).data(),
+                                          end - begin, labels.data() + begin);
                              });
   return labels;
+}
+
+void Model::label_rows(const double* x, std::size_t rows, int* labels) const {
+  // Per-thread scratch that only ever grows, so labelling allocates nothing
+  // once a thread has seen the model's width.
+  thread_local std::vector<double> projected;
+  thread_local std::vector<std::uint32_t> coord;
+  constexpr std::size_t kBlock = 256;  // projected rows stay in L1
+  const std::size_t width =
+      uses_projection() ? projection_.cols() : input_dims_;
+  coord.resize(kept_dims_.size());
+  const std::size_t need =
+      uses_projection() ? std::min(rows, kBlock) * width : 0;
+  if (projected.size() < need) projected.resize(need);
+  for (std::size_t b = 0; b < rows; b += kBlock) {
+    const std::size_t n = std::min(kBlock, rows - b);
+    const double* v = x + b * input_dims_;
+    if (uses_projection()) {
+      project_rows(v, n, input_dims_, projection_.flat().data(), width,
+                   projected.data());
+      v = projected.data();
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* row = v + i * width;
+      for (std::size_t k = 0; k < kept_dims_.size(); ++k) {
+        const auto j = static_cast<std::size_t>(kept_dims_[k]);
+        const auto key = key_of(row[j], ranges_[j], depths_[k]);
+        coord[k] = partitions_[k].primary_of(key);
+      }
+      labels[b + i] = label_of_cell(coord);
+    }
+  }
 }
 
 void Model::serialize(ByteWriter& w) const {
@@ -199,6 +220,11 @@ Model Model::deserialize(ByteReader& r) {
   const auto prows = r.read<std::uint64_t>();
   const auto pcols = r.read<std::uint64_t>();
   auto flat = r.read_vec<double>();
+  // The projection kernel and fused keys assume finite matrices and ranges;
+  // a CRC-valid but non-finite model would key inf/inf = NaN.
+  KB2_CHECK_MSG(std::ranges::all_of(flat,
+                                    [](double v) { return std::isfinite(v); }),
+                "model projection holds a non-finite value");
   if (prows * pcols > 0) {
     m.projection_ = Matrix(prows, pcols, std::move(flat));
   }
@@ -206,9 +232,13 @@ Model Model::deserialize(ByteReader& r) {
   m.kept_dims_ = r.read_vec<int>();
   const auto n_ranges = r.read<std::uint64_t>();
   m.ranges_.resize(n_ranges);
-  for (auto& range : m.ranges_) {
+  for (std::size_t j = 0; j < m.ranges_.size(); ++j) {
+    auto& range = m.ranges_[j];
     range.lo = r.read<double>();
     range.hi = r.read<double>();
+    KB2_CHECK_MSG(std::isfinite(range.lo) && std::isfinite(range.hi),
+                  "model range " << j << " [" << range.lo << ", " << range.hi
+                                 << "] is not finite");
   }
   const auto n_parts = r.read<std::uint64_t>();
   m.partitions_.resize(n_parts);

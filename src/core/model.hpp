@@ -70,9 +70,11 @@ class Model {
 
   /// Cluster label for a raw input point (projects, keys, and maps through
   /// the primary grid; unseen cells snap to the nearest occupied cell).
+  /// Allocates nothing once the calling thread has labelled a point.
   int predict(std::span<const double> x) const;
 
-  /// Labels for every row of `points` (parallel).
+  /// Labels for every row of `points` (parallel; rows are projected in
+  /// blocks through the shared kernel).
   std::vector<int> predict(const Matrix& points) const;
 
   /// Label for a precomputed cell coordinate (nearest occupied cell when the
@@ -89,6 +91,9 @@ class Model {
   /// partition per kept dimension, cells of that arity, kept dimensions
   /// inside the projected space.
   void check_shape() const;
+
+  /// Label `rows` contiguous input rows into `labels` (kept dims nonempty).
+  void label_rows(const double* x, std::size_t rows, int* labels) const;
 
   std::size_t input_dims_ = 0;
   Matrix projection_;  // empty => identity (ablation mode)

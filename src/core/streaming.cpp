@@ -8,10 +8,19 @@
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "core/checkpoint.hpp"
+#include "core/fused.hpp"
 #include "core/pipeline.hpp"
 #include "core/projection.hpp"
 
 namespace keybin2::core {
+
+namespace {
+
+bool all_finite(std::span<const double> values) {
+  return std::ranges::all_of(values, [](double v) { return std::isfinite(v); });
+}
+
+}  // namespace
 
 StreamingKeyBin2::StreamingKeyBin2(std::size_t input_dims, Params params,
                                    std::size_t reservoir_capacity)
@@ -43,7 +52,18 @@ StreamingKeyBin2::StreamingKeyBin2(std::size_t input_dims, Params params,
     trial.reservoir = Matrix(0, static_cast<std::size_t>(n_rp_));
   }
   if (params_.use_projection) {
-    scratch_.resize(trials_.size() * static_cast<std::size_t>(n_rp_));
+    stacked_ = Matrix(input_dims,
+                      trials_.size() * static_cast<std::size_t>(n_rp_));
+    for (std::size_t t = 0; t < trials_.size(); ++t) stack_projection(t);
+    scratch_.resize(stacked_.cols());
+  }
+}
+
+void StreamingKeyBin2::stack_projection(std::size_t t) {
+  const auto dims = static_cast<std::size_t>(n_rp_);
+  const Matrix& a = trials_[t].projection;
+  for (std::size_t i = 0; i < input_dims_; ++i) {
+    std::ranges::copy(a.row(i), stacked_.row(i).begin() + t * dims);
   }
 }
 
@@ -83,12 +103,11 @@ void StreamingKeyBin2::push(std::span<const double> point) {
   }
   const auto dims = static_cast<std::size_t>(n_rp_);
   if (params_.use_projection) {
-    for (std::size_t t = 0; t < trials_.size(); ++t) {
-      project_point(point, trials_[t].projection,
-                    std::span<double>(scratch_).subspan(t * dims, dims));
-    }
-    KB2_CHECK_MSG(std::ranges::all_of(
-                      scratch_, [](double v) { return std::isfinite(v); }),
+    // Every trial at once: scratch_ column t * n_rp + j is trial t's
+    // projected dimension j.
+    project_rows(point.data(), 1, input_dims_, stacked_.flat().data(),
+                 stacked_.cols(), scratch_.data());
+    KB2_CHECK_MSG(all_finite(scratch_),
                   "point projects outside the double range");
   }
 
@@ -199,7 +218,7 @@ const Model& StreamingKeyBin2::refit_once(runtime::Context& ctx) {
     KeyTable keys;
     {
       auto keys_scope = ctx.tracer().scope(stage::kReservoirKeys);
-      keys = compute_keys(trial.reservoir, ranges, params_.max_depth);
+      fused_keys(trial.reservoir, ranges, params_.max_depth, keys);
     }
 
     // (4) + (6) Partition every depth candidate and rate it; the root
@@ -349,9 +368,13 @@ void StreamingKeyBin2::restore(ByteReader& r) {
                   "checkpoint trial " << t << " projection is " << prows
                                       << " x " << pcols << ", engine expects "
                                       << want_rows << " x " << want_cols);
+    KB2_CHECK_MSG(all_finite(pdata), "checkpoint trial "
+                                         << t << " projection holds a "
+                                            "non-finite value");
     trial.projection = Matrix(static_cast<std::size_t>(prows),
                               static_cast<std::size_t>(pcols),
                               std::move(pdata));
+    if (params_.use_projection) stack_projection(t);
     const auto n_anchored = r.read<std::uint64_t>();
     KB2_CHECK_MSG(n_anchored == static_cast<std::uint64_t>(n_rp_),
                   "checkpoint trial has " << n_anchored
@@ -412,6 +435,11 @@ void StreamingKeyBin2::restore(ByteReader& r) {
                   "checkpoint trial " << t << " reservoir holds " << rrows
                                       << " rows, trial 0 holds "
                                       << trials_.front().reservoir.rows());
+    // push() never stores a non-finite row, and refits key the reservoir
+    // through fused_key, which needs finite values.
+    KB2_CHECK_MSG(all_finite(rdata), "checkpoint trial "
+                                         << t << " reservoir holds a "
+                                            "non-finite value");
     // The Matrix constructor rejects a length other than rows * cols.
     trial.reservoir = Matrix(static_cast<std::size_t>(rrows),
                              static_cast<std::size_t>(rcols),

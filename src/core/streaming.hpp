@@ -2,8 +2,13 @@
 // M = 1"; §5's protein-folding analysis runs in this mode).
 //
 // A stream engine holds, per bootstrap trial, a fixed random projection and
-// one hierarchical histogram per projected dimension. push() costs
-// O(n_rp * d_max) per point and retains nothing point-sized: when a value
+// one hierarchical histogram per projected dimension. The trials' matrices
+// are also kept side by side in one input_dims x (trials * n_rp) stacked
+// matrix, derived state rebuilt on construction and restore, so push()
+// projects a point once for every trial through the shared projection kernel
+// (core/fused.hpp): input_dims * trials * n_rp multiply-adds in ymm lanes,
+// then one histogram update per (trial, projected dimension) and one
+// reservoir row copy per trial. No key is stored per point: when a value
 // falls outside a histogram's current range the range doubles (pairs of
 // deepest bins collapse), so early points never need re-keying.
 //
@@ -48,8 +53,8 @@ class StreamingKeyBin2 {
   std::size_t input_dims() const { return input_dims_; }
   std::uint64_t points_seen() const { return points_seen_; }
 
-  /// Ingest one point (O(trials * n_rp * d_max), no allocation on the steady
-  /// path). Throws keybin2::Error, leaving the engine unchanged, when a
+  /// Ingest one point (O(input_dims * trials * n_rp), no allocation on the
+  /// steady path). Throws keybin2::Error, leaving the engine unchanged, when a
   /// value is NaN or infinite or projects outside the double range.
   void push(std::span<const double> point);
 
@@ -128,6 +133,8 @@ class StreamingKeyBin2 {
   };
 
   void ingest(TrialState& trial, std::span<const double> projected);
+  /// Copy trial t's projection into its columns of stacked_.
+  void stack_projection(std::size_t t);
   const Model& refit_once(runtime::Context& ctx);
 
   std::size_t input_dims_;
@@ -140,7 +147,11 @@ class StreamingKeyBin2 {
   Rng reservoir_rng_;  // one slot draw per point, shared by every trial
 
   std::optional<Model> model_;
-  std::vector<double> scratch_;  // trials x n_rp projected-point buffer
+  // Derived from the trials' projections (never serialized): input_dims x
+  // (trials * n_rp), trial t's matrix in columns [t * n_rp, (t + 1) * n_rp).
+  // Empty under the identity ablation.
+  Matrix stacked_;
+  std::vector<double> scratch_;  // one projected point, stacked_'s columns
 };
 
 }  // namespace keybin2::core

@@ -6,17 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "core/out_of_core.hpp"
+#include "core/projection.hpp"
 #include "core/streaming.hpp"
 #include "data/gaussian_mixture.hpp"
 #include "data/io.hpp"
@@ -427,6 +432,85 @@ TEST(StreamingCheckpoint, RestoreRejectsMalformedEnvelopeAndProjection) {
                                          6, 6, std::vector<double>(36, 0.0)};
                                    }),
                        64, "projection", identity);
+}
+
+TEST(StreamingCheckpoint, RestoreRejectsNonFiniteProjectionEntries) {
+  StreamingKeyBin2 a(6, Params{}, 64);
+  a.push_batch(stream_data(200, 8).points);
+  const auto bytes = engine_bytes(a);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    expect_restore_error(edit_trials(bytes,
+                                     [&](std::size_t t, TrialBlocks& b) {
+                                       if (t == 2) b.projection.values[7] = bad;
+                                     }),
+                         64, "projection holds a non-finite value");
+  }
+}
+
+TEST(StreamingCheckpoint, RestoreRejectsNonFiniteReservoirValues) {
+  // A refit keys the reservoir through fused_key, which needs finite rows;
+  // push() never stores any other kind.
+  StreamingKeyBin2 a(6, Params{}, 64);
+  a.push_batch(stream_data(200, 8).points);
+  const auto bytes = engine_bytes(a);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    expect_restore_error(edit_trials(bytes,
+                                     [&](std::size_t t, TrialBlocks& b) {
+                                       if (t == 1) b.reservoir.values[40] = bad;
+                                     }),
+                         64, "reservoir holds a non-finite value");
+  }
+}
+
+TEST(StreamingCheckpoint, ReservoirRowsAreEachTrialsProjectionOfThePushedPoint) {
+  // push() projects a point once through every trial's matrix, stacked side
+  // by side. Until the reservoir is full, row i of trial t must equal
+  // project_point of pushed point i through trial t's matrix, bit for bit.
+  // The shapes cover a stacked width that is a multiple of 4 (24), one with
+  // a partial last lane block (15, 35, 1), more than one lane group (35, 64:
+  // the in-situ shape), and points with exact zeros and negative values.
+  struct Shape {
+    std::size_t input_dims;
+    int n_rp;  // 0: the paper's rule
+    int trials;
+  };
+  for (const Shape shape : {Shape{6, 0, 8}, Shape{11, 5, 3}, Shape{9, 7, 5},
+                            Shape{4, 1, 1}, Shape{200, 8, 8}}) {
+    Params params;
+    params.n_rp = shape.n_rp;
+    params.bootstrap_trials = shape.trials;
+    constexpr std::size_t kCapacity = 64;
+    StreamingKeyBin2 engine(shape.input_dims, params, kCapacity);
+    Rng rng(shape.input_dims);
+    Matrix points(kCapacity, shape.input_dims);
+    for (auto& v : points.flat()) {
+      v = rng.uniform_int(4) == 0 ? 0.0 : rng.normal(0.0, 3.0);
+    }
+    engine.push_batch(points);
+
+    std::size_t seen = 0;
+    (void)edit_trials(engine_bytes(engine), [&](std::size_t t,
+                                                TrialBlocks& b) {
+      ++seen;
+      const Matrix projection(b.projection.rows, b.projection.cols,
+                              b.projection.values);
+      ASSERT_EQ(b.reservoir.rows, kCapacity);
+      std::vector<double> want(projection.cols());
+      for (std::size_t i = 0; i < kCapacity; ++i) {
+        project_point(points.row(i), projection, want);
+        for (std::size_t j = 0; j < want.size(); ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                        b.reservoir.values[i * want.size() + j]),
+                    std::bit_cast<std::uint64_t>(want[j]))
+              << "input_dims " << shape.input_dims << " trial " << t
+              << " row " << i << " column " << j;
+        }
+      }
+    });
+    EXPECT_EQ(seen, static_cast<std::size_t>(shape.trials));
+  }
 }
 
 TEST(StreamingCheckpoint, VersionOneFileFailsAsVersionSkew) {

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -116,6 +118,52 @@ TEST(FusedPasses, ProjectEnvelopeMatchesStagedProjectAndScan) {
   }
 }
 
+TEST(FusedPasses, ProjectEnvelopeMatchesProjectAtEveryWidth) {
+  // The one projection kernel at every lane width — whole and partial lane
+  // blocks, n_rp 1 to 12 — with one, several and leftover rows in flight,
+  // on inputs holding exact zeros (one whole row of them) and negatives.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int n_rp = 1; n_rp <= 12; ++n_rp) {
+    for (const std::size_t rows : {1u, 2u, 3u, 5u, 4097u}) {
+      auto points = random_matrix(rows, 13, 100 + n_rp + rows);
+      auto flat = points.flat();
+      for (std::size_t i = 0; i < flat.size(); i += 3) flat[i] = 0.0;
+      for (double& v : points.row(rows / 2)) v = 0.0;
+      const auto projection =
+          make_projection_matrix(13, n_rp, 7 * n_rp + rows);
+      const auto dims = static_cast<std::size_t>(n_rp);
+
+      const auto reference = project(points, projection);
+      std::vector<double> ref_lo(dims, std::numeric_limits<double>::infinity());
+      std::vector<double> ref_hi(dims,
+                                 -std::numeric_limits<double>::infinity());
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < dims; ++j) {
+          ref_lo[j] = std::min(ref_lo[j], reference(i, j));
+          ref_hi[j] = std::max(ref_hi[j], reference(i, j));
+        }
+      }
+
+      FusedWorkspace ws;
+      const auto& fused = fused_project_envelope(points, projection, dims, ws);
+      ASSERT_EQ(fused.rows(), rows);
+      ASSERT_EQ(fused.cols(), dims);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < dims; ++j) {
+          ASSERT_EQ(bits(fused(i, j)), bits(reference(i, j)))
+              << "n_rp " << n_rp << " rows " << rows << " at " << i << ","
+              << j;
+        }
+      }
+      ASSERT_EQ(ws.env_lo.size(), dims);
+      for (std::size_t j = 0; j < dims; ++j) {
+        EXPECT_EQ(bits(ws.env_lo[j]), bits(ref_lo[j])) << n_rp << "," << j;
+        EXPECT_EQ(bits(ws.env_hi[j]), bits(ref_hi[j])) << n_rp << "," << j;
+      }
+    }
+  }
+}
+
 TEST(FusedPasses, IdentityProjectionIsZeroCopyPassthrough) {
   const auto points = random_matrix(100, 4, 5);
   FusedWorkspace ws;
@@ -175,6 +223,35 @@ TEST(FusedPasses, KeyBinMatchesComputeKeysAndBuildHistograms) {
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t b = 0; b < got.size(); ++b) {
           ASSERT_EQ(got[b], want[b]) << "dim " << j << " bin " << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedPasses, KeysOnlyMatchComputeKeysAtEveryWidth) {
+  // fused_keys keys the streaming reservoir: widths 4 and 8 take pass B's
+  // vector key loops, the others the scalar fused_key loop. Probes at and
+  // beyond the range edges ride along with the random rows.
+  KeyTable keys;  // reused across calls, as a refit reuses it
+  for (std::size_t dims = 1; dims <= 9; ++dims) {
+    for (int d_max : {1, 7, 12}) {
+      auto points = random_matrix(1000 + dims, dims, 40 + dims);
+      std::vector<Range> ranges(dims, Range{-4.0, 5.5});
+      points(0, 0) = -4.0;
+      points(1, dims - 1) = 5.5;
+      points(2, 0) = 1e300;
+      points(3, dims - 1) = -0.0;
+      const auto want = compute_keys(points, ranges, d_max);
+      fused_keys(points, ranges, d_max, keys);
+      ASSERT_EQ(keys.points(), want.points());
+      ASSERT_EQ(keys.dims(), dims);
+      ASSERT_EQ(keys.d_max(), d_max);
+      for (std::size_t i = 0; i < want.points(); ++i) {
+        for (std::size_t j = 0; j < dims; ++j) {
+          ASSERT_EQ(keys.at(i, j), want.at(i, j))
+              << "dims " << dims << " d_max " << d_max << " at " << i << ","
+              << j;
         }
       }
     }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/projection.hpp"
 
 namespace keybin2::core {
@@ -188,20 +192,89 @@ TEST(Model, LabelOfCellHitsMissesAndTies) {
   }
 }
 
-/// Model bytes by hand: one input dim, no projection, one range over [0, 1],
-/// an 8-bin partition cut at 4 per kept dim, and one cell.
+/// Scalar reference for Model::predict, independent of the projection
+/// kernel: project_point, then key_of, primary_of and label_of_cell.
+int reference_label(const Model& m, std::span<const double> x) {
+  std::vector<double> projected(m.projection().cols());
+  project_point(x, m.projection(), projected);
+  std::vector<std::uint32_t> coord;
+  for (std::size_t k = 0; k < m.kept_dims().size(); ++k) {
+    const auto j = static_cast<std::size_t>(m.kept_dims()[k]);
+    const auto key = key_of(projected[j], m.ranges()[j], m.depths()[k]);
+    coord.push_back(m.partitions()[k].primary_of(key));
+  }
+  return m.label_of_cell(coord);
+}
+
+TEST(Model, PredictMatchesScalarReferenceAtSeveralWidths) {
+  // n_rp 3, 5 and 8 put the projected width at a partial, a partial second
+  // and two whole lane blocks; 300 rows cross predict(Matrix)'s row blocks.
+  constexpr std::size_t kInputDims = 10;
+  const std::vector<std::vector<int>> kept_by_width{
+      {0, 2}, {1, 2, 4}, {0, 3, 5, 7}};
+  const int widths[] = {3, 5, 8};
+  for (std::size_t w = 0; w < 3; ++w) {
+    const int n_rp = widths[w];
+    const auto& kept = kept_by_width[w];
+    std::vector<int> depths;
+    std::vector<DimensionPartition> partitions;
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      const int depth = 3 + static_cast<int>(k % 3);
+      DimensionPartition p;
+      p.bins = std::size_t{1} << depth;
+      p.cuts = {p.bins / 4, p.bins / 2, 3 * p.bins / 4};
+      depths.push_back(depth);
+      partitions.push_back(p);
+    }
+    std::vector<Cell> cells;
+    for (std::uint32_t c = 0; c < 6; ++c) {
+      Cell cell;
+      for (std::size_t k = 0; k < kept.size(); ++k) {
+        cell.coord.push_back((c + static_cast<std::uint32_t>(k) * c / 2) % 4);
+      }
+      cell.density = 10.0 + c;
+      cells.push_back(cell);
+    }
+    const Model m(kInputDims,
+                  make_projection_matrix(kInputDims, n_rp, 50 + n_rp), depths,
+                  kept,
+                  std::vector<Range>(static_cast<std::size_t>(n_rp),
+                                     Range{-5.0, 5.0}),
+                  partitions, cells, 1.0, 100.0, 0.0);
+
+    Rng rng(static_cast<std::uint64_t>(n_rp));
+    Matrix points(300, kInputDims);
+    for (double& v : points.flat()) {
+      v = rng.uniform_int(3) == 0 ? 0.0 : rng.normal(0.0, 4.0);
+    }
+    for (double& v : points.row(7)) v = 0.0;
+    const auto labels = m.predict(points);
+    ASSERT_EQ(labels.size(), points.rows());
+    for (std::size_t i = 0; i < points.rows(); ++i) {
+      const int want = reference_label(m, points.row(i));
+      EXPECT_EQ(m.predict(points.row(i)), want) << "n_rp " << n_rp << " row " << i;
+      EXPECT_EQ(labels[i], want) << "n_rp " << n_rp << " row " << i;
+    }
+  }
+}
+
+/// Model bytes by hand: one input dim, no projection (or the 1 x 1
+/// `projection`), one range (over [0, 1] by default), an 8-bin partition cut
+/// at 4 per kept dim, and one cell.
 std::vector<std::byte> model_bytes(const std::vector<int>& kept,
-                                   const std::vector<std::uint32_t>& coord) {
+                                   const std::vector<std::uint32_t>& coord,
+                                   const std::vector<double>& projection = {},
+                                   Range range = {0.0, 1.0}) {
   ByteWriter w;
   w.write<std::uint64_t>(1);
-  w.write<std::uint64_t>(0);
-  w.write<std::uint64_t>(0);
-  w.write_vec(std::vector<double>{});
+  w.write<std::uint64_t>(projection.size());
+  w.write<std::uint64_t>(projection.size());
+  w.write_vec(projection);
   w.write_vec(std::vector<int>(kept.size(), 3));
   w.write_vec(kept);
   w.write<std::uint64_t>(1);
-  w.write(0.0);
-  w.write(1.0);
+  w.write(range.lo);
+  w.write(range.hi);
   w.write<std::uint64_t>(kept.size());
   for (std::size_t k = 0; k < kept.size(); ++k) {
     w.write<std::uint64_t>(8);
@@ -228,6 +301,43 @@ TEST(Model, DeserializeRejectsInconsistentShape) {
   const auto outside = model_bytes({1}, {0});  // one range, kept dim 1
   ByteReader r2(outside);
   EXPECT_THROW(Model::deserialize(r2), Error);
+}
+
+/// The message of the keybin2::Error that deserializing `bytes` throws.
+std::string deserialize_error(const std::vector<std::byte>& bytes) {
+  ByteReader r(bytes);
+  try {
+    (void)Model::deserialize(r);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "(accepted)";
+}
+
+TEST(Model, DeserializeRejectsNonFiniteProjectionEntries) {
+  const double point[] = {0.3};
+  const auto ok = model_bytes({0}, {0}, {2.0});
+  ByteReader good(ok);
+  EXPECT_EQ(Model::deserialize(good).predict(point), 0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_NE(deserialize_error(model_bytes({0}, {0}, {bad}))
+                  .find("projection"),
+              std::string::npos)
+        << bad;
+  }
+}
+
+TEST(Model, DeserializeRejectsNonFiniteRangeBounds) {
+  // A (-inf, +inf) range would key inf / inf = NaN into a uint32 bin.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Range bad : {Range{-inf, inf}, Range{0.0, inf}, Range{-inf, 1.0},
+                          Range{std::numeric_limits<double>::quiet_NaN(), 1.0}}) {
+    EXPECT_NE(deserialize_error(model_bytes({0}, {0}, {}, bad)).find("range"),
+              std::string::npos)
+        << bad.lo << ", " << bad.hi;
+  }
 }
 
 TEST(Model, CellArityIsValidated) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string_view>
+#include <vector>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace keybin2 {
 namespace {
@@ -102,6 +106,43 @@ TEST(Serialize, TakeMovesBuffer) {
   auto bytes = w.take();
   EXPECT_EQ(bytes.size(), sizeof(int));
   EXPECT_TRUE(w.bytes().empty());
+}
+
+// ---- CRC-32 (frames, checkpoint files, flight dumps) ----
+
+// The plain bytewise CRC-32 the slicing-by-8 version must reproduce.
+std::uint32_t reference_crc32(std::span<const std::byte> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::byte b : data) {
+    crc ^= static_cast<std::uint32_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, StandardCheckValue) {
+  constexpr std::string_view check = "123456789";
+  EXPECT_EQ(crc32(std::as_bytes(std::span(check.data(), check.size()))),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Offsets 0-8 put the eight-byte steps at every alignment; lengths 0-300
+  // cover empty input, tails alone, and many steps plus every tail length.
+  Rng rng(41);
+  std::vector<std::byte> buf(8 + 300);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.uniform_int(256));
+  for (std::size_t offset = 0; offset <= 8; ++offset) {
+    for (std::size_t len = 0; len <= 300 && offset + len <= buf.size();
+         ++len) {
+      const std::span<const std::byte> data(buf.data() + offset, len);
+      ASSERT_EQ(crc32(data), reference_crc32(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 }  // namespace
