@@ -8,6 +8,7 @@
 #include "comm/coreset.hpp"
 #include "common/error.hpp"
 #include "common/serialize.hpp"
+#include "core/fused.hpp"
 
 namespace keybin2::core {
 
@@ -120,8 +121,10 @@ CellMap count_cells(const KeyTable& keys, const std::vector<int>& kept_dims,
   // Per kept dimension, a table from the bin at its depth straight to its
   // primary's share of the id. Keys are below 2^d_max, so a table of
   // 2^depth entries covers every index the shift can produce: one check
-  // here replaces a bound check per (point, dimension).
+  // here replaces a bound check per (point, dimension), and is all that
+  // bounds the kernel's unchecked gathers.
   std::vector<std::vector<std::uint64_t>> tables(arity);
+  std::vector<const std::uint64_t*> entries(arity);
   std::vector<std::size_t> columns(arity);
   std::vector<unsigned> shifts(arity);
   for (std::size_t k = 0; k < arity; ++k) {
@@ -143,24 +146,21 @@ CellMap count_cells(const KeyTable& keys, const std::vector<int>& kept_dims,
     }
     columns[k] = static_cast<std::size_t>(kept_dims[k]);
     shifts[k] = static_cast<unsigned>(keys.d_max() - depths[k]);
+    entries[k] = table.data();
   }
-  const auto id_of = [&](std::size_t i) {
-    std::uint64_t id = 0;
-    for (std::size_t k = 0; k < arity; ++k) {
-      id += tables[k][keys.at(i, columns[k]) >> shifts[k]];
-    }
-    return id;
-  };
+  // Every point's id up front, through the gather kernel: ids are integers,
+  // so computing them before the masses changes no bit.
+  std::vector<std::uint64_t> ids(keys.points());
+  cell_ids(keys, columns.data(), shifts.data(), entries.data(), arity,
+           ids.data());
 
   // Masses add up per cell in point order on either table: streaming
   // weights are fractional, so count * weight would not be bit-equal.
   std::vector<std::pair<std::uint64_t, double>> occupied;
-  const std::size_t n = keys.points();
   if (table_kind == CellTable::kFlat) {
     std::vector<double> masses(space, 0.0);
     std::vector<std::uint8_t> hit(space, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t id = id_of(i);
+    for (const std::uint64_t id : ids) {
       masses[id] += weight_per_point;
       hit[id] = 1;
     }
@@ -169,7 +169,7 @@ CellMap count_cells(const KeyTable& keys, const std::vector<int>& kept_dims,
     }
   } else {
     IdMassTable table;
-    for (std::size_t i = 0; i < n; ++i) table.add(id_of(i), weight_per_point);
+    for (const std::uint64_t id : ids) table.add(id, weight_per_point);
     occupied = table.sorted();
   }
 

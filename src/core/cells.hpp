@@ -9,10 +9,12 @@
 // first kept dimension most significant (digit k has radix
 // partitions[k].primary_count()), so ascending ids are lexicographic
 // coordinate order. Each kept dimension gets a per-candidate table mapping a
-// bin straight to its primary's contribution to the id, and the ids are
-// counted in a flat array when the id space is no larger than the shard, in
-// an open-addressing table otherwise. An id space beyond 64 bits falls back
-// to the coordinate-vector counter (count_cells_by_coord).
+// bin straight to its primary's contribution to the id; one gather kernel
+// (cell_ids, core/fused.hpp) computes every point's id from those tables,
+// and the ids are then counted in point order, in a flat array when the id
+// space is no larger than the shard, in an open-addressing table otherwise.
+// An id space beyond 64 bits falls back to the coordinate-vector counter
+// (count_cells_by_coord).
 #pragma once
 
 #include <cstddef>

@@ -505,6 +505,47 @@ void fused_keys(const Matrix& points, const std::vector<Range>& ranges,
   }
 }
 
+void cell_ids(const KeyTable& keys, const std::size_t* columns,
+              const unsigned* shifts, const std::uint64_t* const* tables,
+              std::size_t arity, std::uint64_t* ids) {
+  const std::size_t n = keys.points();
+  const std::size_t dims = keys.dims();
+  const std::uint32_t* key = keys.data();
+  std::size_t i = 0;
+#if defined(__AVX2__)
+  // Lane l reads row i + l, dims keys further on: the stride index must fit
+  // an int32 lane.
+  if (dims <= static_cast<std::size_t>(std::numeric_limits<int>::max() / 3)) {
+    const auto d = static_cast<int>(dims);
+    const __m128i lane_rows = _mm_setr_epi32(0, d, 2 * d, 3 * d);
+    for (; i + 4 <= n; i += 4) {
+      const std::uint32_t* row = key + i * dims;
+      __m256i id = _mm256_setzero_si256();
+      for (std::size_t k = 0; k < arity; ++k) {
+        const __m128i deepest = _mm_i32gather_epi32(
+            reinterpret_cast<const int*>(row + columns[k]), lane_rows, 4);
+        // Keys are below 2^d_max <= 2^24 (key_of and make_bin_scale check
+        // d_max), so the bins are valid int32 gather indices.
+        const __m128i bins = _mm_srl_epi32(
+            deepest, _mm_cvtsi32_si128(static_cast<int>(shifts[k])));
+        id = _mm256_add_epi64(
+            id, _mm256_i32gather_epi64(
+                    reinterpret_cast<const long long*>(tables[k]), bins, 8));
+      }
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(ids + i), id);
+    }
+  }
+#endif
+  for (; i < n; ++i) {
+    const std::uint32_t* row = key + i * dims;
+    std::uint64_t id = 0;
+    for (std::size_t k = 0; k < arity; ++k) {
+      id += tables[k][row[columns[k]] >> shifts[k]];
+    }
+    ids[i] = id;
+  }
+}
+
 std::vector<stats::HierarchicalHistogram> fused_key_bin(
     const Matrix& projected, const std::vector<Range>& ranges, int d_max,
     FusedWorkspace& ws) {

@@ -29,6 +29,9 @@
 // and Model::predict. Each lane of it repeats project_point's operation
 // sequence, so projections stay bit-identical too.
 //
+// The unit also hosts the depth sweep's cell-id kernel, cell_ids, which
+// count_cells runs once per candidate: it needs the same -mavx2 build.
+//
 // All scratch (projected matrix, key table, envelopes, shards) lives in a
 // FusedWorkspace the caller keeps across bootstrap trials, so steady-state
 // trials allocate nothing.
@@ -135,5 +138,17 @@ std::vector<stats::HierarchicalHistogram> fused_key_bin(
 /// the histogram scatter; serial). Reuses `keys`' allocation.
 void fused_keys(const Matrix& points, const std::vector<Range>& ranges,
                 int d_max, KeyTable& keys);
+
+/// The cell-id kernel of count_cells (core/cells.hpp): for every point i of
+/// `keys`, ids[i] = sum over k < arity of
+/// tables[k][keys.at(i, columns[k]) >> shifts[k]], the point's packed
+/// mixed-radix cell id. Four points per step under AVX2: one gather reads a
+/// kept column's keys, a shift coarsens them to the candidate's depth, and a
+/// second gather reads their id shares; a scalar loop takes the tail, or
+/// every point without AVX2. The gathers are unchecked: every tables[k] must
+/// cover every key >> shifts[k] (2^(d_max - shifts[k]) entries).
+void cell_ids(const KeyTable& keys, const std::size_t* columns,
+              const unsigned* shifts, const std::uint64_t* const* tables,
+              std::size_t arity, std::uint64_t* ids);
 
 }  // namespace keybin2::core

@@ -60,6 +60,9 @@ class KeyTable {
     return key_at_depth(at(point, dim), d_max_, depth);
   }
 
+  /// The keys row-major, point by point: key (i, j) at data()[i * dims() + j].
+  const std::uint32_t* data() const { return keys_.data(); }
+
   /// Re-dimension in place, reusing the existing allocation when it is large
   /// enough. Contents are unspecified afterwards; callers overwrite every
   /// entry. This is the scratch-reuse hook for per-trial workspaces.

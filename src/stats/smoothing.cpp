@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace keybin2::stats {
 
@@ -93,37 +92,41 @@ std::vector<std::size_t> plateau_extrema(std::span<const double> y,
   return out;
 }
 
-/// Prominence of a peak (maxima==true) or depth of a valley (maxima==false):
-/// walk each direction until a more extreme value appears; the reference
-/// level on that side is the least favourable value crossed. Prominence is
-/// the smaller one-sided contrast; a side with no elements (boundary
-/// extremum) does not constrain it.
-double extremum_prominence(std::span<const double> y, std::size_t idx,
-                           bool maxima) {
+/// One side of the prominence test for the peak (kMaxima) or valley at
+/// `idx`: walking in direction `dir`, the side's contrast is the distance
+/// from y[idx] to the least favourable value crossed before a more extreme
+/// one (or the edge). That contrast never decreases along the walk, and FP
+/// subtraction is monotone, so the walk stops as soon as the answer is
+/// known: at a contrast of `min_prominence` (the side passes) or at a more
+/// extreme value below it (the side fails). A side with no elements
+/// (boundary extremum) does not constrain the extremum.
+template <bool kMaxima>
+bool side_prominent(std::span<const double> y, std::size_t idx,
+                    std::ptrdiff_t dir, double min_prominence) {
+  const auto n = static_cast<std::ptrdiff_t>(y.size());
+  std::ptrdiff_t i = static_cast<std::ptrdiff_t>(idx) + dir;
+  if (i < 0 || i >= n) return true;
   const double v = y[idx];
-  auto side = [&](int dir) {
-    std::ptrdiff_t i = static_cast<std::ptrdiff_t>(idx) + dir;
-    if (i < 0 || i >= static_cast<std::ptrdiff_t>(y.size())) {
-      return std::numeric_limits<double>::infinity();
-    }
-    double worst = v;
-    while (i >= 0 && i < static_cast<std::ptrdiff_t>(y.size())) {
-      const double u = y[static_cast<std::size_t>(i)];
-      if (maxima ? u > v : u < v) break;  // found a higher peak / lower valley
-      worst = maxima ? std::min(worst, u) : std::max(worst, u);
-      i += dir;
-    }
-    return maxima ? v - worst : worst - v;
-  };
-  return std::min(side(-1), side(+1));
+  double worst = v;
+  const auto contrast = [&] { return kMaxima ? v - worst : worst - v; };
+  for (; i >= 0 && i < n; i += dir) {
+    if (contrast() >= min_prominence) return true;
+    const double u = y[static_cast<std::size_t>(i)];
+    if (kMaxima ? u > v : u < v) return false;  // a higher peak / lower valley
+    worst = kMaxima ? std::min(worst, u) : std::max(worst, u);
+  }
+  return contrast() >= min_prominence;
 }
 
+/// Extrema whose smaller one-sided contrast is at least `min_prominence`:
+/// the right side is walked only when the left one passes.
+template <bool kMaxima>
 std::vector<std::size_t> prominent_extrema(std::span<const double> y,
-                                           double min_prominence,
-                                           bool maxima) {
+                                           double min_prominence) {
   std::vector<std::size_t> out;
-  for (std::size_t idx : plateau_extrema(y, maxima)) {
-    if (extremum_prominence(y, idx, maxima) >= min_prominence) {
+  for (std::size_t idx : plateau_extrema(y, kMaxima)) {
+    if (side_prominent<kMaxima>(y, idx, -1, min_prominence) &&
+        side_prominent<kMaxima>(y, idx, +1, min_prominence)) {
       out.push_back(idx);
     }
   }
@@ -134,12 +137,12 @@ std::vector<std::size_t> prominent_extrema(std::span<const double> y,
 
 std::vector<std::size_t> prominent_minima(std::span<const double> y,
                                           double min_prominence) {
-  return prominent_extrema(y, min_prominence, /*maxima=*/false);
+  return prominent_extrema</*kMaxima=*/false>(y, min_prominence);
 }
 
 std::vector<std::size_t> prominent_maxima(std::span<const double> y,
                                           double min_prominence) {
-  return prominent_extrema(y, min_prominence, /*maxima=*/true);
+  return prominent_extrema</*kMaxima=*/true>(y, min_prominence);
 }
 
 }  // namespace keybin2::stats

@@ -39,7 +39,12 @@ std::vector<std::size_t> sign_changes(std::span<const double> d2);
 
 /// Local minima of `y` that are separated from both neighbouring maxima by a
 /// drop of at least `min_prominence` (absolute units). Returns the minima
-/// indices in increasing order; flat valleys report their midpoint.
+/// indices in increasing order; flat valleys report their midpoint. A
+/// side's contrast only grows as its walk goes on, so each walk stops once
+/// its answer is known — at a contrast of `min_prominence`, or at a more
+/// extreme value short of it — and the second side is walked only when the
+/// first passes. For a finite series the result equals comparing the full
+/// walks' contrasts against the threshold.
 std::vector<std::size_t> prominent_minima(std::span<const double> y,
                                           double min_prominence);
 

@@ -136,6 +136,42 @@ TEST(CountCells, EmptyShardsAndTheSmallestFlatCount) {
                       CellTable::kFlat);
 }
 
+TEST(CountCells, EveryTailArityAndColumnLayoutMatchesCoordinates) {
+  // The id kernel takes four points per step and leaves the rest to a
+  // scalar tail, so point counts sit on both sides of multiples of 4. Kept
+  // columns are an out-of-order, non-contiguous subset of a 12-column table,
+  // and depth d_max (shift 0) sits beside shallow depths.
+  constexpr int kDMax = 10;
+  const std::vector<int> columns{10, 1, 7, 3, 11, 5, 0, 8, 4};
+  const std::vector<int> depths{kDMax, 3, 7, 4, kDMax, 5, 9, 3, 6};
+  int tail_flat = 0, tail_hash = 0;
+  for (const std::size_t points : {0, 1, 3, 4, 5, 7, 4097}) {
+    const auto keys = clustered_keys(points, 12, kDMax, 30 + points);
+    for (std::size_t arity = 1; arity <= columns.size(); ++arity) {
+      const std::vector<int> kept(columns.begin(),
+                                  columns.begin() + static_cast<long>(arity));
+      const std::vector<int> at(depths.begin(),
+                                depths.begin() + static_cast<long>(arity));
+      for (const std::size_t primaries : {1, 2, 5}) {
+        const auto s = make_shape(kept, at, primaries, points + arity);
+        const auto table = cell_table_for(s.partitions, points);
+        ASSERT_NE(table, CellTable::kCoordinates);
+        if (points % 4 != 0) {
+          (table == CellTable::kFlat ? tail_flat : tail_hash) += 1;
+        }
+        SCOPED_TRACE(::testing::Message() << points << " points, arity "
+                                          << arity << ", " << primaries
+                                          << " primaries");
+        expect_counts_match(keys, s, 1.0, table);
+        expect_counts_match(keys, s, 0.1, table);
+      }
+    }
+  }
+  // Both tables counted ids that came out of the scalar tail.
+  EXPECT_GT(tail_flat, 0);
+  EXPECT_GT(tail_hash, 0);
+}
+
 TEST(CountCells, UniformDepthOverloadMatchesVector) {
   const auto keys = clustered_keys(1000, 3, 9, 14);
   const auto s = make_shape({0, 1, 2}, {7, 7, 7}, 4, 15);

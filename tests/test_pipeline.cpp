@@ -12,6 +12,7 @@
 
 #include "comm/launch.hpp"
 #include "common/error.hpp"
+#include "common/serialize.hpp"
 #include "core/fused.hpp"
 #include "core/keybin2.hpp"
 #include "core/projection.hpp"
@@ -482,6 +483,56 @@ TEST(FusedVsStaged, IdentityProjectionAblationIsBitIdentical) {
   expect_staged_fit(result.labels, result.model,
                     {17357368002516051458ULL, 21433.801726658436, 3});
 }
+
+// ---- Streaming refit: the only caller whose cells carry fractional masses
+// (stream mass over reservoir rows), so this row pins the order in which
+// count_cells adds them, end to end, on both backends. Captured before the
+// cell-id kernel replaced the per-point id loop. ----
+
+class StreamingRefitPinned : public ::testing::TestWithParam<comm::Backend> {};
+
+TEST_P(StreamingRefitPinned, TwoRankRefitMatchesPinnedRow) {
+  const StagedFit pinned{11309482603750732913ULL, 4902.9339944787562, 3};
+  const auto spec = data::make_paper_mixture(12, 3, 601);
+  const auto d = data::sample(spec, 5000, 602);
+  const auto shards = data::shard(d, 2);
+  comm::LaunchOptions options;
+  options.backend = GetParam();
+  const auto blobs = comm::run_ranks_collect_bytes(
+      options, 2, [&](comm::Communicator& c) {
+        const auto r = static_cast<std::size_t>(c.rank());
+        const Matrix& points = shards[r].points;
+        // 2,500 points over 768 reservoir rows: an inexact weight.
+        StreamingKeyBin2 s(points.cols(), Params{},
+                           /*reservoir_capacity=*/768);
+        s.push_batch(points);
+        const Model& model = s.refit(c);
+        ByteWriter w;
+        w.write(model.score());
+        w.write<std::int32_t>(model.n_clusters());
+        w.write_vec(model.predict(points));
+        return w.take();
+      });
+  std::vector<int> combined;
+  for (int r = 0; r < 2; ++r) {
+    ByteReader reader(blobs[static_cast<std::size_t>(r)]);
+    const auto score = reader.read<double>();
+    const auto clusters = reader.read<std::int32_t>();
+    const auto labels = reader.read_vec<int>();
+    EXPECT_EQ(score, pinned.score) << "rank " << r;  // bitwise
+    EXPECT_EQ(clusters, pinned.clusters) << "rank " << r;
+    combined.insert(combined.end(), labels.begin(), labels.end());
+  }
+  EXPECT_EQ(combined.size(), d.size());
+  EXPECT_EQ(label_hash(combined), pinned.label_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, StreamingRefitPinned,
+    ::testing::Values(comm::Backend::kThread, comm::Backend::kProcess),
+    [](const auto& info) {
+      return std::string(comm::backend_name(info.param));
+    });
 
 TEST(Trace, FitScopesFollowNamingConvention) {
   const auto spec = data::make_paper_mixture(8, 2, 501);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace keybin2::stats {
 namespace {
@@ -146,6 +151,110 @@ TEST(ProminentExtrema, ConstantAndEmptySeriesHaveNone) {
   EXPECT_TRUE(prominent_maxima(std::vector<double>{2.0, 2.0, 2.0}, 0.1).empty());
   EXPECT_TRUE(prominent_minima(std::vector<double>{}, 0.1).empty());
   EXPECT_TRUE(prominent_maxima(std::vector<double>{1.0}, 0.1).empty());
+}
+
+// ---- The early-exit walks against the full walk ----
+//
+// The reference below is the walk the library ran before its walks stopped
+// early: each side runs on to the next more extreme value (or the edge),
+// and the smaller one-sided contrast is then compared with the threshold.
+
+/// Plateau-aware extrema, boundary plateaus included, midpoints reported.
+std::vector<std::size_t> reference_plateau_extrema(const std::vector<double>& y,
+                                                   bool maxima) {
+  std::vector<std::size_t> out;
+  const std::size_t n = y.size();
+  if (n < 2) return out;
+  auto better = [&](double a, double b) { return maxima ? a > b : a < b; };
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i;
+    while (j + 1 < n && y[j + 1] == y[i]) ++j;
+    const bool left_ok = i == 0 || better(y[i], y[i - 1]);
+    const bool right_ok = j == n - 1 || better(y[i], y[j + 1]);
+    if (left_ok && right_ok && !(i == 0 && j == n - 1)) {
+      out.push_back((i + j) / 2);
+    }
+    i = j + 1;
+  }
+  return out;
+}
+
+/// One side's contrast from the full walk; +inf for an empty side.
+double reference_side(const std::vector<double>& y, std::size_t idx, int dir,
+                      bool maxima) {
+  const double v = y[idx];
+  std::ptrdiff_t i = static_cast<std::ptrdiff_t>(idx) + dir;
+  if (i < 0 || i >= static_cast<std::ptrdiff_t>(y.size())) {
+    return std::numeric_limits<double>::infinity();
+  }
+  double worst = v;
+  while (i >= 0 && i < static_cast<std::ptrdiff_t>(y.size())) {
+    const double u = y[static_cast<std::size_t>(i)];
+    if (maxima ? u > v : u < v) break;
+    worst = maxima ? std::min(worst, u) : std::max(worst, u);
+    i += dir;
+  }
+  return maxima ? v - worst : worst - v;
+}
+
+std::vector<std::size_t> reference_extrema(const std::vector<double>& y,
+                                           double min_prominence,
+                                           bool maxima) {
+  std::vector<std::size_t> out;
+  for (const std::size_t idx : reference_plateau_extrema(y, maxima)) {
+    const double prominence = std::min(reference_side(y, idx, -1, maxima),
+                                       reference_side(y, idx, +1, maxima));
+    if (prominence >= min_prominence) out.push_back(idx);
+  }
+  return out;
+}
+
+/// A seeded series of quantized values, so plateaus and exact ties are
+/// common, with negative values: independent levels, or a random walk whose
+/// long monotone runs give long walks and large contrasts.
+std::vector<double> quantized_series(Rng& rng) {
+  const auto n = 1 + static_cast<std::size_t>(rng.uniform_int(300));
+  const double step = rng.uniform() < 0.5 ? 0.25 : 0.1;  // 0.1 is inexact
+  const bool walk = rng.uniform() < 0.5;
+  const auto levels = 1 + rng.uniform_int(9);
+  std::vector<double> y(n);
+  double level = 0.0;
+  for (auto& v : y) {
+    const double draw = static_cast<double>(rng.uniform_int(levels)) -
+                        static_cast<double>(levels / 2);
+    level = walk ? level + draw : draw;
+    v = level * step;
+  }
+  return y;
+}
+
+TEST(ProminentExtrema, EarlyExitMatchesTheFullWalk) {
+  Rng rng(20);
+  for (int series = 0; series < 4000; ++series) {
+    const auto y = quantized_series(rng);
+    std::vector<double> thresholds{0.0, 1e-9, 0.25, 0.5, 1.0, 2.0,
+                                   std::numeric_limits<double>::denorm_min()};
+    // Thresholds exactly equal to a one-sided contrast of the series, where
+    // `>=` against `>` decides the answer.
+    std::vector<double> contrasts;
+    for (const bool maxima : {true, false}) {
+      for (const std::size_t idx : reference_plateau_extrema(y, maxima)) {
+        for (const int dir : {-1, +1}) {
+          const double c = reference_side(y, idx, dir, maxima);
+          if (std::isfinite(c)) contrasts.push_back(c);
+        }
+      }
+    }
+    for (int k = 0; k < 4 && !contrasts.empty(); ++k) {
+      thresholds.push_back(contrasts[rng.uniform_int(contrasts.size())]);
+    }
+    for (const double t : thresholds) {
+      ASSERT_EQ(prominent_maxima(y, t), reference_extrema(y, t, true))
+          << "series " << series << ", threshold " << t;
+      ASSERT_EQ(prominent_minima(y, t), reference_extrema(y, t, false))
+          << "series " << series << ", threshold " << t;
+    }
+  }
 }
 
 }  // namespace
