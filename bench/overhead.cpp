@@ -67,7 +67,7 @@ comm::LaunchOptions backend_options(comm::Backend b) {
   return o;
 }
 
-enum class Plane { kNone, kProfiler, kFlightRecorder };
+enum class Plane { kNone, kProfiler, kFlight };
 
 struct Variant {
   const char* name;  // series <name>_fit_seconds
@@ -82,7 +82,7 @@ constexpr std::array<Variant, 4> kVariants = {{
     {"plain", nullptr, comm::Backend::kThread, Plane::kNone, 0.0},
     {"proc", "proc", comm::Backend::kProcess, Plane::kNone, 2.0},
     {"profiled", "profile", comm::Backend::kThread, Plane::kProfiler, 1.05},
-    {"recorded", "flight", comm::Backend::kThread, Plane::kFlightRecorder,
+    {"recorded", "flight", comm::Backend::kThread, Plane::kFlight,
      1.05},
 }};
 
@@ -106,7 +106,7 @@ TimedFit timed_fit(const Variant& v, const FitSetup& s) {
         runtime::Context ctx(c, s.params.seed);
         if (v.plane == Plane::kProfiler) {
           ctx.enable_profiler({}, s.segment->slot(c.rank()));
-        } else if (v.plane == Plane::kFlightRecorder) {
+        } else if (v.plane == Plane::kFlight) {
           ctx.enable_flight_recorder(s.segment);
         }
         const auto result = core::fit(

@@ -671,6 +671,7 @@ std::vector<double> Communicator::recv_doubles(int src, int tag) {
 
 void SelfComm::send(int dest, int tag, std::span<const std::byte> data) {
   KB2_CHECK_MSG(dest == 0, "SelfComm can only send to rank 0");
+  if (probe()) probe()->on_begin(0, CommProbe::kSend, dest, tag, data.size());
   const std::uint64_t flow = next_flow_id_++;
   queue_.push_back(
       Queued{tag, flow, std::vector<std::byte>(data.begin(), data.end())});
@@ -683,6 +684,7 @@ void SelfComm::send(int dest, int tag, std::span<const std::byte> data) {
 
 std::vector<std::byte> SelfComm::recv(int src, int tag) {
   KB2_CHECK_MSG(src == 0, "SelfComm can only receive from rank 0");
+  if (probe()) probe()->on_begin(0, CommProbe::kRecv, src, tag, 0);
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (it->tag == tag) {
       auto data = std::move(it->bytes);
@@ -705,6 +707,22 @@ std::vector<std::byte> SelfComm::recv(int src, int tag) {
           ") timed out immediately: SelfComm has no queued message and no "
           "peer can ever send one",
       /*self=*/0, src, tag, /*elapsed_seconds=*/0.0);
+}
+
+// With no peer, a barrier and an agreement complete at once.
+void SelfComm::barrier() {
+  if (probe()) {
+    probe()->on_begin(0, CommProbe::kBarrier, -1, -1, 0);
+    probe()->on_barrier(0, /*wait_ns=*/0);
+  }
+}
+
+std::vector<int> SelfComm::agree_survivors() {
+  if (probe()) {
+    probe()->on_begin(0, CommProbe::kAgree, -1, -1, 0);
+    probe()->on_agree(0, 1);
+  }
+  return {0};
 }
 
 // ---- SubgroupComm ----

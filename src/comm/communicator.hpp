@@ -151,20 +151,37 @@ struct TrafficStats {
   }
 };
 
-/// Observation hooks a communicator fires on every point-to-point delivery
-/// and every blocking wait. A probe lives *below* the collectives — each
-/// collective decomposes into send/recv pairs, so attaching one probe at the
-/// leaf transport sees the whole traffic matrix, including frames exchanged
-/// by SubgroupComm and FaultyComm decorators (which forward set_probe()).
+/// The one observation hook a communicator fires: one begin and one
+/// completion per send, recv, barrier and survivor agreement. A probe lives
+/// *below* the collectives — each collective decomposes into send/recv
+/// pairs, so attaching one probe at the leaf transport sees the whole
+/// traffic matrix, including frames exchanged by SubgroupComm and FaultyComm
+/// decorators (which forward set_probe()).
+///
+/// on_begin fires before the op may block or throw; the completion fires
+/// once the op can no longer fail (for a send: once the frame is committed,
+/// before the receiver can see it). An op that throws, or a rank killed
+/// inside one, leaves a begin with no completion — the in-flight evidence
+/// the post-mortem reads from the flight ring. Fault injectors fire the
+/// begin of the op a simulated kill interrupts, so a simulated death leaves
+/// the same evidence a real SIGKILL would.
 ///
 /// Ranks and tags are reported in the leaf transport's rank space (the
 /// original full group), so a traffic matrix stays comparable across a
 /// survivor shrink. Callbacks may run concurrently from different rank
 /// threads; implementations must be thread-safe. All hooks must be cheap:
-/// they run inside the transport's critical path.
+/// they run inside the transport's critical path, on_send under ThreadComm's
+/// mailbox lock — and on_begin must stay lock- and allocation-free.
 class CommProbe {
  public:
+  enum Op : int { kSend = 0, kRecv = 1, kBarrier = 2, kAgree = 3 };
+
   virtual ~CommProbe() = default;
+
+  /// `self` is entering `op`. peer/tag are -1 where not meaningful
+  /// (barrier, agreement); `bytes` is the payload of a send, else 0.
+  virtual void on_begin(int self, Op op, int peer, int tag,
+                        std::size_t bytes) = 0;
 
   /// A message left `self` for `dest`. `flow_id` is unique per delivery and
   /// reappears in the matching on_recv, letting a timeline pair the two ends
@@ -180,35 +197,13 @@ class CommProbe {
 
   /// `self` completed a barrier after blocking for `wait_ns` nanoseconds.
   virtual void on_barrier(int self, std::int64_t wait_ns) = 0;
+
+  /// `self` completed a survivor agreement that kept `survivors` ranks.
+  virtual void on_agree(int self, std::size_t survivors) = 0;
 };
 
-/// Black-box hook a communicator fires at the *start* and *end* of every
-/// blocking operation, in contrast to CommProbe which only observes
-/// completions. The begin/end pairing is what makes post-mortem attribution
-/// possible: a rank killed (or hung) mid-operation leaves a begin with no
-/// matching end in its flight ring, naming exactly the op, peer, and tag it
-/// died inside. Implementations must be lock-free and allocation-free — the
-/// runtime's flight recorder writes a seqlock-published ring slot — because
-/// begins fire before any blocking wait and may be interleaved with signal
-/// handlers. Decorators and subgroup views forward set_flight_hook() to the
-/// leaf transport; fault injectors additionally record a begin for the op a
-/// simulated kill interrupts, so the simulated death leaves the same
-/// evidence a real SIGKILL would.
-class FlightHook {
- public:
-  enum Op : int { kSend = 0, kRecv = 1, kBarrier = 2, kAgree = 3 };
-
-  virtual ~FlightHook() = default;
-
-  /// `self` is entering a blocking operation. peer/tag are -1 where not
-  /// meaningful (barrier, agreement).
-  virtual void on_op_begin(Op op, int peer, int tag, std::size_t bytes) = 0;
-
-  /// The operation completed successfully. An exception path deliberately
-  /// records no end: "last record is an unmatched begin" is the in-flight /
-  /// waiting-on evidence the post-mortem reads.
-  virtual void on_op_end(Op op, int peer, int tag, std::size_t bytes) = 0;
-};
+/// Only named by Communicator's empty shim below; has no definition.
+class FlightHook;
 
 /// Human-readable name for a message tag: user tags print as "user:<n>",
 /// the reserved collective tags above kUserTagLimit print as the collective
@@ -281,10 +276,11 @@ class Communicator {
   virtual void set_probe(CommProbe* probe) { probe_ = probe; }
   CommProbe* probe() const { return probe_; }
 
-  /// Attach a flight-recorder hook (nullptr detaches). Same forwarding
-  /// discipline as set_probe: leaf transports fire it, decorators forward.
-  virtual void set_flight_hook(FlightHook* hook) { flight_hook_ = hook; }
-  FlightHook* flight_hook() const { return flight_hook_; }
+  /// Empty shim, called by no src code: the probe is the one comm hook.
+  /// It stays only because perfbench/traced_comm.hpp:59 overrides it and
+  /// only a benchmark change may edit that file (ROADMAP item 3, steps 2–3
+  /// move TracedComm off it, then delete this and FlightHook).
+  virtual void set_flight_hook(FlightHook*) {}
 
   /// Recovery-ladder counters, group-wide: replacement forks spent and
   /// regrow epochs completed so far. Live on ProcComm (read from the shared
@@ -415,7 +411,6 @@ class Communicator {
 
   double timeout_seconds_ = 0.0;
   CommProbe* probe_ = nullptr;
-  FlightHook* flight_hook_ = nullptr;
   std::vector<std::byte> frame_scratch_;  // reused send_frame assembly buffer
 
   // Reduce hot-loop scratch, pooled across blocks, rounds, and calls so the
@@ -435,8 +430,9 @@ class SelfComm final : public Communicator {
   /// Honors the deadline API trivially: with no peer, a missing message can
   /// never arrive, so an empty queue is an immediate TimeoutError.
   std::vector<std::byte> recv(int src, int tag) override;
-  void barrier() override {}
+  void barrier() override;
   TrafficStats stats() const override { return stats_; }
+  std::vector<int> agree_survivors() override;
 
  private:
   // (tag -> FIFO of messages); loopback only. Each entry carries the flow id
@@ -471,9 +467,6 @@ class SubgroupComm final : public Communicator {
 
   void set_timeout(double seconds) override;
   void set_probe(CommProbe* probe) override;
-  void set_flight_hook(FlightHook* hook) override {
-    parent_->set_flight_hook(hook);
-  }
   std::vector<int> failed_ranks() const override;
   std::vector<int> agree_survivors() override;
   bool process_isolated() const override {

@@ -35,13 +35,13 @@ FaultyComm::FaultyComm(Communicator& inner, FaultSchedule schedule)
   Communicator::set_timeout(inner.timeout());
 }
 
-void FaultyComm::count_op_and_maybe_kill(FlightHook::Op op, int peer, int tag,
+void FaultyComm::count_op_and_maybe_kill(CommProbe::Op op, int peer, int tag,
                                          std::size_t bytes) {
   ++ops_;
   if (schedule_.kill_at_op > 0 && ops_ >= schedule_.kill_at_op) {
-    // Record the op this kill interrupts so the black-box ring shows the
+    // Begin the op this kill interrupts so the black-box ring shows the
     // same unmatched begin a real mid-op SIGKILL would leave behind.
-    if (FlightHook* f = flight_hook()) f->on_op_begin(op, peer, tag, bytes);
+    if (CommProbe* p = probe()) p->on_begin(rank(), op, peer, tag, bytes);
 #ifdef SIGKILL
     if (schedule_.hard_kill && inner_->process_isolated()) {
       // The honest node death: no unwinding, no destructors, no goodbye.
@@ -58,7 +58,7 @@ void FaultyComm::count_op_and_maybe_kill(FlightHook::Op op, int peer, int tag,
 }
 
 void FaultyComm::send(int dest, int tag, std::span<const std::byte> data) {
-  count_op_and_maybe_kill(FlightHook::kSend, dest, tag, data.size());
+  count_op_and_maybe_kill(CommProbe::kSend, dest, tag, data.size());
 
   if (schedule_.drop_prob > 0.0 && rng_.uniform() < schedule_.drop_prob) {
     return;  // the wire ate it
@@ -101,12 +101,12 @@ void FaultyComm::send(int dest, int tag, std::span<const std::byte> data) {
 }
 
 std::vector<std::byte> FaultyComm::recv(int src, int tag) {
-  count_op_and_maybe_kill(FlightHook::kRecv, src, tag, 0);
+  count_op_and_maybe_kill(CommProbe::kRecv, src, tag, 0);
   return inner_->recv(src, tag);
 }
 
 void FaultyComm::barrier() {
-  count_op_and_maybe_kill(FlightHook::kBarrier, -1, -1, 0);
+  count_op_and_maybe_kill(CommProbe::kBarrier, -1, -1, 0);
   inner_->barrier();
 }
 
@@ -117,7 +117,7 @@ void FaultyComm::set_timeout(double seconds) {
 
 std::vector<int> FaultyComm::agree_survivors() {
   // A rank past its kill step must not sneak back in through recovery.
-  count_op_and_maybe_kill(FlightHook::kAgree, -1, -1, 0);
+  count_op_and_maybe_kill(CommProbe::kAgree, -1, -1, 0);
   return inner_->agree_survivors();
 }
 

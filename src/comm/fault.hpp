@@ -91,17 +91,13 @@ class FaultyComm final : public Communicator {
 
   void set_timeout(double seconds) override;
   void set_probe(CommProbe* probe) override {
-    Communicator::set_probe(probe);
-    // The inner transport records deliveries, so dropped messages are never
-    // observed (matching TrafficStats, which also only counts real pushes).
-    inner_->set_probe(probe);
-  }
-  void set_flight_hook(FlightHook* hook) override {
     // Kept locally too: a simulated kill fires before the inner op runs, so
-    // the kill site must record the interrupted op's begin itself — the
-    // thread-backend equivalent of SIGKILL evidence.
-    Communicator::set_flight_hook(hook);
-    inner_->set_flight_hook(hook);
+    // the kill site fires the interrupted op's begin itself — the
+    // thread-backend equivalent of SIGKILL evidence. Everything else is the
+    // inner transport's to observe, so dropped messages are never seen
+    // (matching TrafficStats, which also only counts real pushes).
+    Communicator::set_probe(probe);
+    inner_->set_probe(probe);
   }
   std::vector<int> failed_ranks() const override {
     return inner_->failed_ranks();
@@ -122,10 +118,10 @@ class FaultyComm final : public Communicator {
   std::uint64_t ops() const { return ops_; }
 
  private:
-  /// Counts the op and, if the kill step is reached, records the interrupted
-  /// op's flight-hook begin (the in-flight evidence a real SIGKILL would
-  /// leave) before killing the rank.
-  void count_op_and_maybe_kill(FlightHook::Op op, int peer, int tag,
+  /// Counts the op and, if the kill step is reached, fires the interrupted
+  /// op's probe begin (the in-flight evidence a real SIGKILL would leave)
+  /// before killing the rank.
+  void count_op_and_maybe_kill(CommProbe::Op op, int peer, int tag,
                                std::size_t bytes);
 
   Communicator* inner_;

@@ -325,6 +325,11 @@ void purge_rings(const ProcShared& g) {
         }
         tail += align8(sizeof(fh) + fh.size);
       }
+      // The finalizer's process writes each ring's consumer-owned cursor
+      // here. That is safe: every live consumer is parked in
+      // agree_survivors() until the generation bump after this purge, and a
+      // reserved respawn holds the agreement open through respawn_pending,
+      // so no replacement consumer can read the ring before the purge ends.
       r->tail.store(head, std::memory_order_release);
       r->msg_count.store(0, std::memory_order_relaxed);
     }
@@ -537,12 +542,11 @@ void ProcComm::drain_rings() {
 void ProcComm::send(int dest, int tag, std::span<const std::byte> data) {
   KB2_CHECK_MSG(dest >= 0 && dest < size(),
                 "send dest " << dest << " out of group size " << size());
-  // Flight begin before any throw or blocking wait; the matching end fires
-  // only on the success path, so a SIGKILL inside the ring-full wait (or a
-  // thrown abandonment) leaves the unmatched begin the post-mortem reads.
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_begin(FlightHook::kSend, dest, tag, data.size());
-  }
+  // The begin fires before any throw or blocking wait; the completion only
+  // once the frame is committed, so a SIGKILL inside the ring-full wait (or
+  // a thrown abandonment) leaves the unmatched begin the post-mortem reads.
+  CommProbe* p = probe();
+  if (p) p->on_begin(rank_, CommProbe::kSend, dest, tag, data.size());
   if (g_->shrink_pending()) {
     throw RecoveryError(abandoned_message(rank_, "send", dest, tag));
   }
@@ -584,7 +588,7 @@ void ProcComm::send(int dest, int tag, std::span<const std::byte> data) {
     if (g_->hdr->ring_bytes - (head - tail) >= need) {
       detail::ring_write(*g_, r, head, &fh, sizeof(fh));
       detail::ring_write(*g_, r, head + sizeof(fh), wire.data(), wire.size());
-      if (CommProbe* p = probe()) {
+      if (p) {
         // Fire before the head publish below: the receiver cannot observe
         // this frame until the store, so the send timestamp precedes the
         // matching recv timestamp on the shared clock. Depth = frames
@@ -602,9 +606,6 @@ void ProcComm::send(int dest, int tag, std::span<const std::byte> data) {
       detail::PerRank& me = g_->ranks[rank_];
       me.messages_sent.fetch_add(1, std::memory_order_relaxed);
       me.bytes_sent.fetch_add(data.size(), std::memory_order_relaxed);
-      if (FlightHook* f = flight_hook()) {
-        f->on_op_end(FlightHook::kSend, dest, tag, data.size());
-      }
       return;
     }
 
@@ -641,9 +642,8 @@ void ProcComm::send(int dest, int tag, std::span<const std::byte> data) {
 std::vector<std::byte> ProcComm::recv(int src, int tag) {
   KB2_CHECK_MSG(src >= 0 && src < size(),
                 "recv src " << src << " out of group size " << size());
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_begin(FlightHook::kRecv, src, tag, 0);
-  }
+  CommProbe* p = probe();
+  if (p) p->on_begin(rank_, CommProbe::kRecv, src, tag, 0);
   const auto start = CommClock::now();
   const std::int64_t t0 = now_ns();
   const double tmo = timeout();
@@ -656,12 +656,9 @@ std::vector<std::byte> ProcComm::recv(int src, int tag) {
       detail::PerRank& me = g_->ranks[rank_];
       me.messages_received.fetch_add(1, std::memory_order_relaxed);
       me.bytes_received.fetch_add(msg.bytes.size(), std::memory_order_relaxed);
-      if (CommProbe* p = probe()) {
+      if (p) {
         p->on_recv(rank_, src, tag, msg.bytes.size(), msg.flow_id,
                    now_ns() - t0);
-      }
-      if (FlightHook* f = flight_hook()) {
-        f->on_op_end(FlightHook::kRecv, src, tag, msg.bytes.size());
       }
       return std::move(msg.bytes);
     }
@@ -700,11 +697,10 @@ void ProcComm::barrier() {
   const auto start = CommClock::now();
   const std::int64_t t0 = now_ns();
   const double tmo = timeout();
-  // Flight end fires only on completion; an abandoned barrier leaves the
+  // on_barrier fires only on completion; an abandoned barrier leaves the
   // unmatched begin as evidence of where the rank was parked.
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_begin(FlightHook::kBarrier, -1, -1, 0);
-  }
+  CommProbe* p = probe();
+  if (p) p->on_begin(rank_, CommProbe::kBarrier, -1, -1, 0);
   if (g_->shrink_pending()) {
     throw RecoveryError(abandoned_message(rank_, "barrier", -1, -1));
   }
@@ -727,10 +723,7 @@ void ProcComm::barrier() {
       if (bw.compare_exchange_weak(w, detail::pack64(my_generation + 1, 0),
                                    std::memory_order_acq_rel)) {
         detail::futex_wake_all(detail::gen_half(&bw));
-        if (CommProbe* p = probe()) p->on_barrier(rank_, now_ns() - t0);
-        if (FlightHook* f = flight_hook()) {
-          f->on_op_end(FlightHook::kBarrier, -1, -1, 0);
-        }
+        if (p) p->on_barrier(rank_, now_ns() - t0);
         return;
       }
     } else if (bw.compare_exchange_weak(
@@ -758,10 +751,7 @@ void ProcComm::barrier() {
   for (;;) {
     w = bw.load(std::memory_order_acquire);
     if (detail::hi32(w) != my_generation) {
-      if (CommProbe* p = probe()) p->on_barrier(rank_, now_ns() - t0);
-      if (FlightHook* f = flight_hook()) {
-        f->on_op_end(FlightHook::kBarrier, -1, -1, 0);
-      }
+      if (p) p->on_barrier(rank_, now_ns() - t0);
       return;
     }
     if (g_->shrink_pending()) {
@@ -784,9 +774,8 @@ void ProcComm::barrier() {
 std::vector<int> ProcComm::agree_survivors() {
   const auto start = CommClock::now();
   const double tmo = timeout();
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_begin(FlightHook::kAgree, -1, -1, 0);
-  }
+  CommProbe* p = probe();
+  if (p) p->on_begin(rank_, CommProbe::kAgree, -1, -1, 0);
   std::atomic<std::uint64_t>& sw = g_->hdr->shrink_word;
 
   // Arrive: set the pending bit (waking blocked peers into RecoveryError so
@@ -843,9 +832,7 @@ std::vector<int> ProcComm::agree_survivors() {
   for (int r = 0; r < size(); ++r) {
     if ((mask >> r) & 1u) survivors.push_back(r);
   }
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_end(FlightHook::kAgree, -1, -1, survivors.size());
-  }
+  if (p) p->on_agree(rank_, survivors.size());
   return survivors;
 }
 

@@ -98,9 +98,8 @@ void ThreadCommHub::poison(const std::string& reason) {
   for (int r = 0; r < size(); ++r) mark_failed(r, reason);
 }
 
-ThreadCommHub::SendInfo ThreadCommHub::push(int src, int dest, int tag,
-                                            std::span<const std::byte> data,
-                                            CommProbe* probe) {
+void ThreadCommHub::push(int src, int dest, int tag,
+                         std::span<const std::byte> data, CommProbe* probe) {
   if (shrink_pending_.load()) {
     throw RecoveryError(abandoned_message(src, "send", dest, tag));
   }
@@ -112,8 +111,8 @@ ThreadCommHub::SendInfo ThreadCommHub::push(int src, int dest, int tag,
     throw RankFailedError(send_departed_message(src, dest, tag));
   }
 
-  SendInfo info;
-  info.flow_id = next_flow_id_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t flow_id =
+      next_flow_id_.fetch_add(1, std::memory_order_relaxed);
   auto& box = *mailboxes_[static_cast<std::size_t>(dest)];
   {
     std::lock_guard lk(box.mu);
@@ -122,16 +121,15 @@ ThreadCommHub::SendInfo ThreadCommHub::push(int src, int dest, int tag,
     // one allocation per message.
     auto buf = box.stash.take_buffer();
     buf.assign(data.begin(), data.end());
-    box.stash.push(src, tag, Message{std::move(buf), info.flow_id});
+    box.stash.push(src, tag, Message{std::move(buf), flow_id});
     if (probe != nullptr) {
-      // Total messages parked in the destination mailbox across all (src,
-      // tag) channels — the backlog a slow consumer is accumulating.
-      info.queue_depth = box.stash.total_depth();
       // Fire while the lock is held: the receiver cannot pop this message
       // until we release box.mu, so the send timestamp the probe records
-      // precedes the matching recv timestamp on the shared clock.
-      probe->on_send(src, dest, tag, data.size(), info.flow_id,
-                     info.queue_depth);
+      // precedes the matching recv timestamp on the shared clock. The depth
+      // is every message parked in the destination mailbox — the backlog a
+      // slow consumer is accumulating.
+      probe->on_send(src, dest, tag, data.size(), flow_id,
+                     box.stash.total_depth());
     }
   }
   box.cv.notify_all();
@@ -141,7 +139,6 @@ ThreadCommHub::SendInfo ThreadCommHub::push(int src, int dest, int tag,
     ++t.messages_sent;
     t.bytes_sent += data.size();
   }
-  return info;
 }
 
 void ThreadCommHub::recycle(int rank, std::vector<std::byte>&& buf) {
@@ -150,9 +147,8 @@ void ThreadCommHub::recycle(int rank, std::vector<std::byte>&& buf) {
   box.stash.recycle(std::move(buf));
 }
 
-std::vector<std::byte> ThreadCommHub::pop(int self, int src, int tag,
-                                          double timeout_seconds,
-                                          std::uint64_t* flow_id_out) {
+Message ThreadCommHub::pop(int self, int src, int tag,
+                           double timeout_seconds) {
   auto& box = *mailboxes_[static_cast<std::size_t>(self)];
   const auto start = CommClock::now();
   std::unique_lock lk(box.mu);
@@ -178,14 +174,13 @@ std::vector<std::byte> ThreadCommHub::pop(int self, int src, int tag,
     Message msg;
     if (box.stash.try_pop(src, tag, &msg)) {
       lk.unlock();
-      if (flow_id_out) *flow_id_out = msg.flow_id;
       {
         std::lock_guard tlk(traffic_mu_);
         auto& t = traffic_[static_cast<std::size_t>(self)];
         ++t.messages_received;
         t.bytes_received += msg.bytes.size();
       }
-      return std::move(msg.bytes);
+      return msg;
     }
 
     if (shrink_pending_.load()) {
@@ -319,55 +314,32 @@ int ThreadComm::size() const { return hub_->size(); }
 void ThreadComm::send(int dest, int tag, std::span<const std::byte> data) {
   KB2_CHECK_MSG(dest >= 0 && dest < size(),
                 "send dest " << dest << " out of group size " << size());
-  // Begin before the (potentially blocking) push, end only on success: an
-  // exception or death mid-push leaves an unmatched begin in the flight
-  // ring, which is the post-mortem's in-flight evidence.
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_begin(FlightHook::kSend, dest, tag, data.size());
-  }
-  hub_->push(rank_, dest, tag, data, probe());
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_end(FlightHook::kSend, dest, tag, data.size());
-  }
+  // The begin fires before push() may throw; its completion is the on_send
+  // push() fires once the message is enqueued.
+  CommProbe* p = probe();
+  if (p) p->on_begin(rank_, CommProbe::kSend, dest, tag, data.size());
+  hub_->push(rank_, dest, tag, data, p);
 }
 
 std::vector<std::byte> ThreadComm::recv(int src, int tag) {
   KB2_CHECK_MSG(src >= 0 && src < size(),
                 "recv src " << src << " out of group size " << size());
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_begin(FlightHook::kRecv, src, tag, 0);
-  }
   CommProbe* p = probe();
-  std::vector<std::byte> data;
-  if (!p) {
-    data = hub_->pop(rank_, src, tag, timeout(), nullptr);
-  } else {
-    std::uint64_t flow = 0;
-    const std::int64_t t0 = now_ns();
-    data = hub_->pop(rank_, src, tag, timeout(), &flow);
-    p->on_recv(rank_, src, tag, data.size(), flow, now_ns() - t0);
+  if (p) p->on_begin(rank_, CommProbe::kRecv, src, tag, 0);
+  const std::int64_t t0 = now_ns();
+  Message msg = hub_->pop(rank_, src, tag, timeout());
+  if (p) {
+    p->on_recv(rank_, src, tag, msg.bytes.size(), msg.flow_id, now_ns() - t0);
   }
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_end(FlightHook::kRecv, src, tag, data.size());
-  }
-  return data;
+  return std::move(msg.bytes);
 }
 
 void ThreadComm::barrier() {
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_begin(FlightHook::kBarrier, -1, -1, 0);
-  }
   CommProbe* p = probe();
-  if (!p) {
-    hub_->barrier_wait(rank_, timeout());
-  } else {
-    const std::int64_t t0 = now_ns();
-    hub_->barrier_wait(rank_, timeout());
-    p->on_barrier(rank_, now_ns() - t0);
-  }
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_end(FlightHook::kBarrier, -1, -1, 0);
-  }
+  if (p) p->on_begin(rank_, CommProbe::kBarrier, -1, -1, 0);
+  const std::int64_t t0 = now_ns();
+  hub_->barrier_wait(rank_, timeout());
+  if (p) p->on_barrier(rank_, now_ns() - t0);
 }
 
 TrafficStats ThreadComm::stats() const { return hub_->stats(rank_); }
@@ -381,13 +353,10 @@ std::vector<int> ThreadComm::failed_ranks() const {
 }
 
 std::vector<int> ThreadComm::agree_survivors() {
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_begin(FlightHook::kAgree, -1, -1, 0);
-  }
+  CommProbe* p = probe();
+  if (p) p->on_begin(rank_, CommProbe::kAgree, -1, -1, 0);
   auto survivors = hub_->agree_survivors(rank_, timeout());
-  if (FlightHook* f = flight_hook()) {
-    f->on_op_end(FlightHook::kAgree, -1, -1, survivors.size());
-  }
+  if (p) p->on_agree(rank_, survivors.size());
   return survivors;
 }
 

@@ -109,23 +109,14 @@ class ThreadCommHub {
     MessageStash stash;
   };
 
-  /// What push() reports back for the sender's probe: the assigned flow id,
-  /// and (only when requested) the destination mailbox depth after enqueue.
-  struct SendInfo {
-    std::uint64_t flow_id = 0;
-    std::size_t queue_depth = 0;
-  };
-
   /// Enqueue one message. When `probe` is non-null its on_send fires while
   /// the destination mailbox lock is still held, so the sender's timestamp
   /// happens-before any receiver can pop (and stamp) this message — the
   /// send->recv timestamp ordering the trace flow invariants rely on.
-  SendInfo push(int src, int dest, int tag, std::span<const std::byte> data,
-                CommProbe* probe);
+  void push(int src, int dest, int tag, std::span<const std::byte> data,
+            CommProbe* probe);
   void recycle(int rank, std::vector<std::byte>&& buf);
-  std::vector<std::byte> pop(int self, int src, int tag,
-                             double timeout_seconds,
-                             std::uint64_t* flow_id_out);
+  Message pop(int self, int src, int tag, double timeout_seconds);
   void barrier_wait(int self, double timeout_seconds);
   std::vector<int> agree_survivors(int self, double timeout_seconds);
 

@@ -143,30 +143,24 @@ OutOfCoreResult fit_from_file(runtime::Context& ctx,
                                                  << " has trailing bytes");
       ctx.tracer().counter("checkpoint_restores", 1.0);
       ctx.metrics().add("checkpoint_restores");
-      ctx.log().info("checkpoint_restore",
-                     {{"path", checkpoint.path},
-                      {"chunks_done", std::to_string(chunks_done)}});
-      if (ctx.flight() != nullptr) {
-        ctx.flight()->event(runtime::flight::EventType::kCheckpoint,
-                            "restore", chunks_done);
-      }
+      ctx.event(runtime::LogLevel::kInfo, "checkpoint_restore",
+                runtime::flight::EventType::kCheckpoint, chunks_done,
+                {{"path", checkpoint.path},
+                 {"chunks_done", std::to_string(chunks_done)}});
     }
   }
 
   // One bookkeeping point for every resume record written below, so the
-  // tracer counter, the metrics counter, and the event log stay in step.
+  // tracer counter, the metrics counter, and the event stay in step.
   const auto record_checkpoint_write = [&](std::uint64_t cursor,
                                            const char* why) {
     ctx.tracer().counter("checkpoint_writes", 1.0);
     ctx.metrics().add("checkpoint_writes");
-    ctx.log().info("checkpoint_write",
-                   {{"path", checkpoint.path},
-                    {"chunks_done", std::to_string(cursor)},
-                    {"reason", why}});
-    if (ctx.flight() != nullptr) {
-      ctx.flight()->event(runtime::flight::EventType::kCheckpoint, why,
-                          cursor);
-    }
+    ctx.event(runtime::LogLevel::kInfo, "checkpoint_write",
+              runtime::flight::EventType::kCheckpoint, cursor,
+              {{"path", checkpoint.path},
+               {"chunks_done", std::to_string(cursor)},
+               {"reason", why}});
   };
 
   // Pass 1: histograms (and reservoir) only. With a resume cursor, seek the

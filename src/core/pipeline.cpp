@@ -406,9 +406,11 @@ void run_with_recovery(runtime::Context& ctx, const Params& params,
       throw;  // already the terminal rung; never re-wrapped or retried
     } catch (const comm::CommError& e) {
       if (retries >= params.max_shrink_retries) {
-        ctx.log().error(what + "_abandoned",
-                        {{"kind", comm::error_kind(e)},
-                         {"attempts", std::to_string(retries)}});
+        ctx.event(runtime::LogLevel::kError, what + "_abandoned",
+                  runtime::flight::EventType::kRecovery,
+                  static_cast<std::uint64_t>(retries),
+                  {{"kind", comm::error_kind(e)},
+                   {"attempts", std::to_string(retries)}});
         throw comm::FitAbortedError(
             what + " aborted after " + std::to_string(retries) +
                 " retries; last failure [" + comm::error_kind(e) +
@@ -418,9 +420,12 @@ void run_with_recovery(runtime::Context& ctx, const Params& params,
       ++retries;
       recover = true;
       ctx.metrics().add("fit_retries");
-      ctx.log().warn(what + "_retry", {{"kind", comm::error_kind(e)},
-                                       {"attempt", std::to_string(retries)},
-                                       {"what", e.what()}});
+      ctx.event(runtime::LogLevel::kWarn, what + "_retry",
+                runtime::flight::EventType::kRecovery,
+                static_cast<std::uint64_t>(retries),
+                {{"kind", comm::error_kind(e)},
+                 {"attempt", std::to_string(retries)},
+                 {"what", e.what()}});
     }
   }
 }

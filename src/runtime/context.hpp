@@ -11,18 +11,24 @@
 //   │                         matrix (populated once enable_comm_metrics())
 //   ├── EventLog            — structured events (silent until a sink is set)
 //   └── optional planes, each switched on by its enable_*() call:
-//       Timeline, HealthMonitor, profile::Profiler, flight::FlightRecorder
+//       Timeline, HealthMonitor, profile::Profiler, flight::FlightWriter
 //
 // Every clustering driver (batch fit, streaming refit, out-of-core,
 // md::insitu) executes its stages against a Context, so timing,
 // communication volume, and randomness are owned in exactly one place.
 //
-// The Context is the only place that knows which planes are on. A plane
-// that needs a sibling looks it up through its owning Context when it uses
-// it (the profiler asks for the timeline at stop(); the comm probe below
-// asks for it at every message), and the health monitor and the profiler
-// read waits and anomaly counts from the registry — so the planes may be
-// enabled in any order.
+// The Context is the only place that knows which planes are on, the only
+// receiver of events and the only writer of planes. Each event is emitted
+// once, into the Context, which fans it out to the planes that are on:
+//   * a stage boundary — the Context is the Tracer's one scope observer;
+//   * a comm op begin or completion — the Context is the communicator's one
+//     CommProbe;
+//   * a runtime event (survivor shrink, regrow, checkpoint write/restore,
+//     retry, abandon) — one event() call.
+// A plane that needs a sibling looks it up through its owning Context when
+// it uses it (the profiler asks for the timeline at stop()), and the health
+// monitor and the profiler read waits and anomaly counts from the registry
+// — so the planes may be enabled in any order.
 #pragma once
 
 #include <chrono>
@@ -43,7 +49,7 @@
 
 namespace keybin2::runtime {
 
-class Context : private comm::CommProbe {
+class Context : private comm::CommProbe, private ScopeObserver {
  public:
   /// Distributed context: borrow this rank's communicator endpoint (the
   /// caller — typically run_ranks() — keeps it alive for the context's
@@ -61,15 +67,11 @@ class Context : private comm::CommProbe {
 
   ~Context() override {
     // The communicator may be borrowed and outlive us; never leave it
-    // holding hooks into this (about to die) context.
-    if (comm_metrics_) comm_->set_probe(nullptr);
-    if (flight_ != nullptr) comm_->set_flight_hook(nullptr);
-    // Detach the observers so a scope racing destruction can't call a dead
-    // one, and stop the profiler now: its final flush reads the
-    // communicator, registry and timeline through this context, and the
-    // subgroups it may be using die before it in member order.
-    if (profiler_ != nullptr) tracer_.remove_observer(profiler_.get());
-    if (flight_ != nullptr) tracer_.remove_observer(flight_.get());
+    // holding a hook into this (about to die) context.
+    if (comm_metrics_ || flight_ != nullptr) comm_->set_probe(nullptr);
+    // Stop the profiler now: its final flush reads the communicator,
+    // registry and timeline through this context, and the subgroups it may
+    // be using die before it in member order.
     profiler_.reset();
   }
 
@@ -89,18 +91,17 @@ class Context : private comm::CommProbe {
   /// Non-null once enable_timeline() was called.
   Timeline* timeline() { return timeline_.get(); }
 
-  /// Start deep comm instrumentation: this context becomes the
-  /// communicator's probe and feeds its MetricsRegistry with the per-(peer,
+  /// Start deep comm instrumentation: the registry gets the per-(peer,
   /// tag) traffic matrix, recv/barrier wait histograms, and mailbox depth
-  /// gauges (plus flow events, once the timeline is on). Idempotent.
+  /// gauges. Idempotent.
   void enable_comm_metrics() {
-    comm_->set_probe(this);
     comm_metrics_ = true;
+    hook();
   }
 
-  /// Start timeline capture: tracer scopes become spans, and (via the comm
-  /// probe, enabled as a side effect) each send/recv becomes one end of a
-  /// flow event. Idempotent.
+  /// Start timeline capture: tracer scopes become spans, each send/recv one
+  /// end of a flow event, each runtime event an instant (comm metrics come
+  /// on as a side effect). Idempotent.
   void enable_timeline() {
     if (timeline_ == nullptr) {
       timeline_ = std::make_unique<Timeline>(comm_->rank());
@@ -109,7 +110,6 @@ class Context : private comm::CommProbe {
       // lane so incarnations stay aligned in merged traces.
       timeline_->set_incarnation(comm_->incarnation());
       timeline_->set_epoch_ns(now_ns());
-      tracer_.set_timeline(timeline_.get());
     }
     enable_comm_metrics();
   }
@@ -122,7 +122,6 @@ class Context : private comm::CommProbe {
   void enable_health_monitor(HealthConfig config = {}) {
     if (health_ == nullptr) {
       health_ = std::make_unique<HealthMonitor>(&log_, &metrics_, config);
-      tracer_.add_observer(health_.get());
     }
     enable_comm_metrics();
   }
@@ -143,7 +142,6 @@ class Context : private comm::CommProbe {
                        profile::TelemetrySlot* slot = nullptr) {
     if (profiler_ == nullptr) {
       profiler_ = std::make_unique<profile::Profiler>(*this, config, slot);
-      tracer_.add_observer(profiler_.get());
     }
     enable_comm_metrics();
     profiler_->start();
@@ -153,20 +151,29 @@ class Context : private comm::CommProbe {
   profile::Profiler* profiler() { return profiler_.get(); }
 
   /// Attach this rank to the flight rings of the launcher's pre-fork
-  /// RankSegment (DESIGN.md §10): stage transitions (tracer observer) and
-  /// comm op begin/end (FlightHook on the communicator) stream into the
-  /// rank's black-box ring, which the supervisor dumps on abnormal death.
-  /// Idempotent; the first segment wins.
+  /// RankSegment (DESIGN.md §10): stage transitions, comm op begins and
+  /// completions, and runtime events stream into the rank's black-box
+  /// ring, which the supervisor dumps on abnormal death. Puts nothing into
+  /// the registry. Idempotent; the first segment wins.
   void enable_flight_recorder(RankSegment* segment) {
     if (segment == nullptr || flight_ != nullptr) return;
-    flight_ = std::make_unique<flight::FlightRecorder>(
-        segment, comm_->rank(), comm_->incarnation());
-    tracer_.add_observer(flight_.get());
-    comm_->set_flight_hook(flight_.get());
+    flight_ = std::make_unique<flight::FlightWriter>(segment, comm_->rank(),
+                                                     comm_->incarnation());
+    hook();
   }
 
-  /// Non-null once enable_flight_recorder() was called.
-  flight::FlightRecorder* flight() { return flight_.get(); }
+  /// One runtime event, emitted once: the EventLog gets `name` at `level`
+  /// with `attrs`; and, for whichever planes are on, the timeline gets an
+  /// instant and the flight ring a point record of `type` carrying `value`.
+  void event(LogLevel level, std::string_view name, flight::EventType type,
+             std::uint64_t value,
+             std::vector<std::pair<std::string, std::string>> attrs) {
+    log_.event(level, name, std::move(attrs));
+    if (timeline_ != nullptr) {
+      timeline_->add_instant(std::string(name), now_ns());
+    }
+    record_flight(type, flight::EventPhase::kPoint, -1, -1, value, name);
+  }
 
   /// Merge all ranks' traces at root (collective; see reduce_report()).
   TraceReport trace_report() { return reduce_report(tracer_, *comm_); }
@@ -201,12 +208,9 @@ class Context : private comm::CommProbe {
     if (lost == 0) {
       if (had_failures) {
         metrics_.add("regrow_epochs");
-        log_.warn("regrow", {{"size", std::to_string(comm_->size())}});
-        if (timeline_ != nullptr) timeline_->add_instant("regrow", now_ns());
-        if (flight_ != nullptr) {
-          flight_->event(flight::EventType::kRecovery, "regrow",
-                         static_cast<std::uint64_t>(comm_->size()));
-        }
+        event(LogLevel::kWarn, "regrow", flight::EventType::kRecovery,
+              static_cast<std::uint64_t>(comm_->size()),
+              {{"size", std::to_string(comm_->size())}});
       }
       return false;
     }
@@ -219,16 +223,10 @@ class Context : private comm::CommProbe {
     tracer_.rebind(comm_);
     excluded_ranks_ += lost;
     metrics_.add("survivor_shrinks");
-    log_.warn("survivor_shrink",
-              {{"lost", std::to_string(lost)},
-               {"survivors", std::to_string(comm_->size())}});
-    if (timeline_ != nullptr) {
-      timeline_->add_instant("survivor_shrink", now_ns());
-    }
-    if (flight_ != nullptr) {
-      flight_->event(flight::EventType::kRecovery, "shrink",
-                     static_cast<std::uint64_t>(comm_->size()));
-    }
+    event(LogLevel::kWarn, "survivor_shrink", flight::EventType::kRecovery,
+          static_cast<std::uint64_t>(comm_->size()),
+          {{"lost", std::to_string(lost)},
+           {"survivors", std::to_string(comm_->size())}});
     if (comm_->rank() == 0) {
       tracer_.counter("degraded_ranks", static_cast<double>(lost));
     }
@@ -242,27 +240,83 @@ class Context : private comm::CommProbe {
   int excluded_ranks() const { return excluded_ranks_; }
 
  private:
-  // comm::CommProbe, attached by enable_comm_metrics(): every completed
-  // send/recv/barrier lands in the registry and, once the timeline is on,
-  // on it as a flow endpoint or a wait.
+  /// Become the communicator's probe and the tracer's observer: the one
+  /// path every comm op and stage boundary takes to the planes.
+  void hook() {
+    comm_->set_probe(this);
+    tracer_.set_observer(this);
+  }
+
+  void record_flight(flight::EventType type, flight::EventPhase phase,
+                     int peer, int tag, std::uint64_t bytes,
+                     std::string_view detail = {}) {
+    if (flight_ != nullptr) {
+      flight_->record(type, phase, peer, tag, bytes, detail);
+    }
+  }
+
+  // ScopeObserver: each stage boundary, fanned out to the planes.
+  void on_scope_open(std::string_view path) override {
+    record_flight(flight::EventType::kStage, flight::EventPhase::kBegin, -1,
+                  -1, 0, path);
+    if (health_ != nullptr) health_->on_scope_open(path);
+    if (profiler_ != nullptr) profiler_->on_scope_open(path);
+  }
+  void on_scope_close(std::string_view path, std::int64_t t0_ns,
+                      std::int64_t t1_ns) override {
+    if (timeline_ != nullptr) {
+      timeline_->add_span(std::string(path), t0_ns, t1_ns);
+    }
+    record_flight(flight::EventType::kStage, flight::EventPhase::kEnd, -1, -1,
+                  static_cast<std::uint64_t>(t1_ns - t0_ns), path);
+    if (health_ != nullptr) health_->on_scope_close(path, t1_ns - t0_ns);
+    if (profiler_ != nullptr) profiler_->on_scope_close(path);
+  }
+
+  // comm::CommProbe: each op's begin and completion. A begin only reaches
+  // the flight ring (an unmatched one is the post-mortem's in-flight
+  // evidence); a completion also lands in the registry and, once the
+  // timeline is on, on it as a flow endpoint or a wait.
+  static flight::EventType flight_type(Op op) {
+    switch (op) {
+      case kSend: return flight::EventType::kSend;
+      case kRecv: return flight::EventType::kRecv;
+      case kBarrier: return flight::EventType::kBarrier;
+      default: return flight::EventType::kAgree;
+    }
+  }
+  void on_begin(int, Op op, int peer, int tag, std::size_t bytes) override {
+    record_flight(flight_type(op), flight::EventPhase::kBegin, peer, tag,
+                  bytes);
+  }
   void on_send(int, int dest, int tag, std::size_t bytes,
                std::uint64_t flow_id, std::size_t queue_depth) override {
-    metrics_.record_send(dest, tag, bytes, queue_depth);
+    if (comm_metrics_) metrics_.record_send(dest, tag, bytes, queue_depth);
     if (timeline_ != nullptr) {
       timeline_->add_flow(flow_id, now_ns(), /*start=*/true, dest, tag, bytes);
     }
+    record_flight(flight::EventType::kSend, flight::EventPhase::kEnd, dest,
+                  tag, bytes);
   }
   void on_recv(int, int src, int tag, std::size_t bytes, std::uint64_t flow_id,
                std::int64_t wait_ns) override {
-    metrics_.record_recv(src, tag, bytes, wait_ns);
+    if (comm_metrics_) metrics_.record_recv(src, tag, bytes, wait_ns);
     if (timeline_ != nullptr) {
       timeline_->add_flow(flow_id, now_ns(), /*start=*/false, src, tag, bytes,
                           wait_ns);
     }
+    record_flight(flight::EventType::kRecv, flight::EventPhase::kEnd, src, tag,
+                  bytes);
   }
   void on_barrier(int, std::int64_t wait_ns) override {
-    metrics_.record_barrier(wait_ns);
+    if (comm_metrics_) metrics_.record_barrier(wait_ns);
     if (timeline_ != nullptr) timeline_->add_wait("barrier", now_ns(), wait_ns);
+    record_flight(flight::EventType::kBarrier, flight::EventPhase::kEnd, -1,
+                  -1, 0);
+  }
+  void on_agree(int, std::size_t survivors) override {
+    record_flight(flight::EventType::kAgree, flight::EventPhase::kEnd, -1, -1,
+                  survivors);
   }
 
   std::unique_ptr<comm::Communicator> owned_comm_;  // serial mode only
@@ -273,9 +327,9 @@ class Context : private comm::CommProbe {
   EventLog log_;
   std::unique_ptr<Timeline> timeline_;
   std::unique_ptr<HealthMonitor> health_;
-  bool comm_metrics_ = false;  // this context is the communicator's probe
+  bool comm_metrics_ = false;  // completions feed the registry
   std::unique_ptr<profile::Profiler> profiler_;
-  std::unique_ptr<flight::FlightRecorder> flight_;
+  std::unique_ptr<flight::FlightWriter> flight_;
   std::vector<std::unique_ptr<comm::SubgroupComm>> subgroups_;
   int excluded_ranks_ = 0;
 };

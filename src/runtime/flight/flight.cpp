@@ -77,45 +77,6 @@ void FlightWriter::record(EventType type, EventPhase phase, int peer, int tag,
   store_shared(ctl_->head, pos + 1, std::memory_order_release);
 }
 
-// ---- FlightRecorder ----
-
-FlightRecorder::FlightRecorder(RankSegment* seg, int rank, int incarnation)
-    : writer_(seg, rank, incarnation) {}
-
-void FlightRecorder::on_scope_open(std::string_view path) {
-  writer_.record(EventType::kStage, EventPhase::kBegin, -1, -1, 0, path);
-}
-
-void FlightRecorder::on_scope_close(std::string_view path,
-                                    std::int64_t wall_ns) {
-  writer_.record(EventType::kStage, EventPhase::kEnd, -1, -1,
-                 static_cast<std::uint64_t>(wall_ns), path);
-}
-
-namespace {
-EventType op_type(comm::FlightHook::Op op) {
-  switch (op) {
-    case comm::FlightHook::kSend: return EventType::kSend;
-    case comm::FlightHook::kRecv: return EventType::kRecv;
-    case comm::FlightHook::kBarrier: return EventType::kBarrier;
-    default: return EventType::kAgree;
-  }
-}
-}  // namespace
-
-void FlightRecorder::on_op_begin(Op op, int peer, int tag, std::size_t bytes) {
-  writer_.record(op_type(op), EventPhase::kBegin, peer, tag, bytes, {});
-}
-
-void FlightRecorder::on_op_end(Op op, int peer, int tag, std::size_t bytes) {
-  writer_.record(op_type(op), EventPhase::kEnd, peer, tag, bytes, {});
-}
-
-void FlightRecorder::event(EventType type, std::string_view detail,
-                           std::uint64_t bytes) {
-  writer_.record(type, EventPhase::kPoint, -1, -1, bytes, detail);
-}
-
 // ---- dump ----
 
 namespace {

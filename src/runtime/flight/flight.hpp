@@ -3,10 +3,11 @@
 // Every rank owns a fixed-size ring of 64-byte FlightRecords in the launch's
 // RankSegment (runtime/segment.hpp), created *before* any fork, so forked
 // ranks (and their respawned incarnations) inherit the same memory and the
-// supervisor can still read a rank's trail after SIGKILL. Records cover
-// stage transitions (via the Tracer's ScopeObserver), comm operations
-// (begin/end from the comm::FlightHook seam — an unmatched begin is the
-// in-flight evidence), and checkpoint/recovery events.
+// supervisor can still read a rank's trail after SIGKILL. The owning
+// runtime Context is the one writer: it records stage transitions (as the
+// Tracer's scope observer), comm operations (begin/end as the comm probe —
+// an unmatched begin is the in-flight evidence), and checkpoint/recovery
+// events.
 //
 // Signal-safety argument: record() performs only std::atomic_ref stores over
 // plain POD fields plus one clock_gettime — no locks, no allocation, no
@@ -31,10 +32,8 @@
 #include <string_view>
 #include <vector>
 
-#include "comm/communicator.hpp"
 #include "common/error.hpp"
 #include "runtime/segment.hpp"
-#include "runtime/tracer.hpp"
 
 namespace keybin2::runtime::flight {
 
@@ -108,28 +107,6 @@ class FlightWriter {
   FlightRecord* slots_ = nullptr;
   std::uint32_t n_slots_ = 0;
   std::uint32_t incarnation_ = 0;
-};
-
-/// The runtime-facing recorder: a Tracer ScopeObserver (stage transitions)
-/// plus the comm FlightHook (op begin/end), both writing the same ring.
-class FlightRecorder final : public ScopeObserver, public comm::FlightHook {
- public:
-  FlightRecorder(RankSegment* seg, int rank, int incarnation);
-
-  // Stage transitions.
-  void on_scope_open(std::string_view path) override;
-  void on_scope_close(std::string_view path, std::int64_t wall_ns) override;
-
-  // Comm operations.
-  void on_op_begin(Op op, int peer, int tag, std::size_t bytes) override;
-  void on_op_end(Op op, int peer, int tag, std::size_t bytes) override;
-
-  /// Checkpoint / recovery point events.
-  void event(EventType type, std::string_view detail,
-             std::uint64_t bytes = 0);
-
- private:
-  FlightWriter writer_;
 };
 
 // ---- dump container ----

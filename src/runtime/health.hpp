@@ -7,10 +7,10 @@
 // went from computing to mostly waiting — the live symptom of a straggling
 // or fault-injected peer. It observes two streams:
 //
-//   * Tracer scope closes (ScopeObserver) — per-path wall time. Repeated
-//     scopes ("fit/trial3/bin" folds to "fit/trial*/bin") build an EWMA
-//     baseline; a close that exceeds `latency_factor` x baseline after
-//     warmup emits a "stage_latency_anomaly" event.
+//   * Tracer scope closes, relayed by the owning Context — per-path wall
+//     time. Repeated scopes ("fit/trial3/bin" folds to "fit/trial*/bin")
+//     build an EWMA baseline; a close that exceeds `latency_factor` x
+//     baseline after warmup emits a "stage_latency_anomaly" event.
 //   * Comm waits — recv/barrier blocked time, read from the registry's
 //     "recv_wait" + "barrier_wait" histograms (MetricsRegistry::blocked_ns,
 //     filled by the owning Context's comm probe). Each scope close also
@@ -50,15 +50,15 @@ struct HealthConfig {
   std::int64_t min_wall_ns = 200'000;  // ignore scopes too short to matter
 };
 
-class HealthMonitor final : public ScopeObserver {
+class HealthMonitor final {
  public:
   HealthMonitor(EventLog* log, MetricsRegistry* metrics,
                 HealthConfig config = {})
       : log_(log), metrics_(metrics), config_(config) {}
 
-  // ScopeObserver:
-  void on_scope_open(std::string_view path) override;
-  void on_scope_close(std::string_view path, std::int64_t wall_ns) override;
+  /// Scope boundaries, called by the owning Context on the rank thread.
+  void on_scope_open(std::string_view path);
+  void on_scope_close(std::string_view path, std::int64_t wall_ns);
 
   /// Anomalies emitted so far (latency + wait-ratio).
   std::uint64_t anomalies() const { return anomalies_; }

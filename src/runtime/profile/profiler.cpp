@@ -118,7 +118,7 @@ void Profiler::on_scope_open(std::string_view path) {
   publish_telemetry(/*force=*/false, TelemetrySlot::kLive);
 }
 
-void Profiler::on_scope_close(std::string_view path, std::int64_t) {
+void Profiler::on_scope_close(std::string_view path) {
   // Attached mid-scope: closes may arrive for opens we never saw. Only pop
   // frames we pushed.
   if (!path_stack_.empty() && path_stack_.back() == path) {

@@ -1,7 +1,7 @@
 // The continuous profiler facade (DESIGN.md §8): one object per Context
 // that ties the sampling pieces together.
 //
-//   Tracer scope open/close ──> Profiler (a ScopeObserver)
+//   Tracer scope open/close ──> Context ──> Profiler
 //     ├── StageCursor     republished with the current path; the Sampler
 //     │                   (SIGPROF or hub thread) reads it asynchronously
 //     ├── PerfCounterGroup read at scope boundaries; per-stage deltas become
@@ -48,12 +48,12 @@ struct ProfilerConfig {
   std::int64_t telemetry_cadence_ns = 25'000'000;  // 25 ms between publishes
 };
 
-class Profiler : public ScopeObserver {
+class Profiler {
  public:
   /// `slot` (nullable) is this rank's slot of the launcher's RankSegment;
   /// the segment must outlive the profiler.
   Profiler(Context& ctx, ProfilerConfig config, TelemetrySlot* slot);
-  ~Profiler() override;
+  ~Profiler();
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
@@ -77,9 +77,9 @@ class Profiler : public ScopeObserver {
   /// stop().
   std::string folded_output() const;
 
-  // ScopeObserver — called on the rank thread at every scope boundary.
-  void on_scope_open(std::string_view path) override;
-  void on_scope_close(std::string_view path, std::int64_t wall_ns) override;
+  /// Scope boundaries, called by the owning Context on the rank thread.
+  void on_scope_open(std::string_view path);
+  void on_scope_close(std::string_view path);
 
  private:
   TelemetryPublisher::Update telemetry_update(std::uint32_t state);

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "runtime/metrics.hpp"   // human_bytes
-#include "runtime/timeline.hpp"
 
 namespace keybin2::runtime {
 
@@ -58,7 +57,7 @@ Tracer::Scope Tracer::scope(std::string_view name) {
   frame.path += name;
   if (comm_ != nullptr) frame.at_open = comm_->stats();
   stack_.push_back(std::move(frame));
-  for (auto* o : observers_) o->on_scope_open(stack_.back().path);
+  if (observer_ != nullptr) observer_->on_scope_open(stack_.back().path);
   return Scope(this);
 }
 
@@ -68,10 +67,9 @@ void Tracer::close_top() {
   stack_.pop_back();
 
   const std::int64_t t1 = now_ns();
-  if (timeline_ != nullptr) {
-    timeline_->add_span(frame.path, frame.t0_ns, t1);
+  if (observer_ != nullptr) {
+    observer_->on_scope_close(frame.path, frame.t0_ns, t1);
   }
-  for (auto* o : observers_) o->on_scope_close(frame.path, t1 - frame.t0_ns);
   auto& entry = entries_[frame.path];
   ++entry.calls;
   entry.seconds += static_cast<double>(t1 - frame.t0_ns) * 1e-9;

@@ -24,24 +24,25 @@
 
 namespace keybin2::runtime {
 
-class Timeline;
-
 /// "fit/trial12/bin" -> "fit/trial*/bin": fold per-iteration scope instances
 /// onto one canonical stage path (a digit-tailed component becomes "name*").
 /// Shared by the HealthMonitor's EWMA baselines and the post-mortem stage
 /// table, so live anomalies and kb2_analyze rows use identical keys.
 std::string fold_scope_path(std::string_view path);
 
-/// Live observation of scope boundaries, for in-process monitors (the
-/// HealthMonitor keeps EWMA latency baselines from these). Calls arrive on
-/// the tracer's own rank thread, strictly nested, open/close balanced from
-/// the moment the observer is attached (an observer attached with scopes
-/// already open sees their closes without the opens and must tolerate it).
+/// Live observation of scope boundaries. The one observer is the owning
+/// runtime Context, which fans each boundary out to the planes it has on.
+/// Calls arrive on the tracer's own rank thread, strictly nested, open/close
+/// balanced from the moment the observer is attached (an observer attached
+/// with scopes already open sees their closes without the opens and must
+/// tolerate it). A close carries the scope's open and close stamps on the
+/// shared now_ns() clock.
 class ScopeObserver {
  public:
   virtual ~ScopeObserver() = default;
   virtual void on_scope_open(std::string_view path) = 0;
-  virtual void on_scope_close(std::string_view path, std::int64_t wall_ns) = 0;
+  virtual void on_scope_close(std::string_view path, std::int64_t t0_ns,
+                              std::int64_t t1_ns) = 0;
 };
 
 class Tracer {
@@ -64,26 +65,9 @@ class Tracer {
   /// frames hold their at-open sample by value and deltas stay monotone.
   void rebind(const comm::Communicator* comm) { comm_ = comm; }
 
-  /// Mirror every closed scope into `timeline` as a span (nullptr detaches).
-  /// Scope timestamps come from the shared now_ns() clock, so spans line up
-  /// with the timeline's flow events and the event log.
-  void set_timeline(Timeline* timeline) { timeline_ = timeline; }
-
-  /// Notify `observer` of every scope open/close, in attachment order.
-  /// Multiple observers may coexist (the HealthMonitor and the continuous
-  /// profiler both listen); attaching an already-attached observer is a
-  /// no-op. Observers must outlive their attachment.
-  void add_observer(ScopeObserver* observer) {
-    if (observer == nullptr) return;
-    for (auto* o : observers_) {
-      if (o == observer) return;
-    }
-    observers_.push_back(observer);
-  }
-
-  void remove_observer(ScopeObserver* observer) {
-    std::erase(observers_, observer);
-  }
+  /// Report every scope open/close to `observer` (nullptr detaches). The
+  /// observer must outlive its attachment.
+  void set_observer(ScopeObserver* observer) { observer_ = observer; }
 
   /// RAII handle closing its scope on destruction. Scopes must nest: close
   /// (destroy) inner scopes before outer ones.
@@ -135,8 +119,7 @@ class Tracer {
   void close_top();
 
   const comm::Communicator* comm_;
-  Timeline* timeline_ = nullptr;
-  std::vector<ScopeObserver*> observers_;
+  ScopeObserver* observer_ = nullptr;
   std::vector<Frame> stack_;
   std::map<std::string, Entry> entries_;
   std::map<std::string, double> counters_;

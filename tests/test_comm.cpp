@@ -480,9 +480,11 @@ class SentBytesProbe : public CommProbe {
                std::uint64_t /*flow*/, std::size_t /*queue*/) override {
     sent_[static_cast<std::size_t>(self)].fetch_add(bytes);
   }
+  void on_begin(int, Op, int, int, std::size_t) override {}
   void on_recv(int, int, int, std::size_t, std::uint64_t,
                std::int64_t) override {}
   void on_barrier(int, std::int64_t) override {}
+  void on_agree(int, std::size_t) override {}
   std::uint64_t sent(int rank) const {
     return sent_[static_cast<std::size_t>(rank)].load();
   }

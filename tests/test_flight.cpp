@@ -2,12 +2,15 @@
 // discipline, the versioned CRC-checked dump container and its five-mode
 // corruption taxonomy, and end-to-end death attribution — a killed rank's
 // dump must name the rank, its last pipeline stage, and the comm op it died
-// inside, on both transport backends.
+// inside, on both transport backends. The EventPath suite pins the one event
+// path (DESIGN.md §4c): every stage boundary, comm op and runtime event
+// reaches every plane that is on exactly once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -15,6 +18,7 @@
 
 #include "comm/fault.hpp"
 #include "comm/launch.hpp"
+#include "common/serialize.hpp"
 #include "core/keybin2.hpp"
 #include "data/gaussian_mixture.hpp"
 #include "data/partition.hpp"
@@ -301,6 +305,231 @@ TEST(Postmortem, ProcBackendSigkillLeavesAttributableDump) {
   std::remove(path.c_str());
 }
 #endif
+
+// ---------------------------------------------------------------------------
+// One event path: every stage boundary, comm op and runtime event reaches
+// every plane that is on exactly once, on both backends.
+
+/// One rank's own view of its events. The tracer, timeline and log live in
+/// the rank's address space, so the rank counts them and ships the counts
+/// back; the flight ring is read from the shared segment afterwards.
+struct RankPlanes {
+  std::uint64_t scope_calls = 0;  // sum of calls over the tracer's entries
+  std::uint64_t spans = 0;        // timeline spans
+  std::uint64_t messages_sent = 0;
+  std::uint64_t messages_received = 0;
+  std::uint64_t log_retries = 0, log_shrinks = 0;
+  std::uint64_t instant_retries = 0, instant_shrinks = 0;
+};
+
+/// Flight records of one rank, counted by kind.
+struct RingCounts {
+  std::uint64_t stage_begins = 0, stage_ends = 0;
+  std::uint64_t comm_begins = 0, comm_ends = 0;
+  std::uint64_t send_ends = 0, recv_ends = 0;
+  std::uint64_t point_retries = 0, point_shrinks = 0;
+};
+
+RingCounts count_ring(const flight::RankTrail& trail) {
+  RingCounts c;
+  for (const flight::FlightRecord& r : trail.records) {
+    const auto type = static_cast<flight::EventType>(r.type);
+    const auto phase = static_cast<flight::EventPhase>(r.phase);
+    const std::string detail(r.detail, strnlen(r.detail, sizeof(r.detail)));
+    if (type == flight::EventType::kStage) {
+      ++(phase == flight::EventPhase::kBegin ? c.stage_begins : c.stage_ends);
+    } else if (type == flight::EventType::kSend ||
+               type == flight::EventType::kRecv ||
+               type == flight::EventType::kBarrier ||
+               type == flight::EventType::kAgree) {
+      if (phase == flight::EventPhase::kBegin) {
+        ++c.comm_begins;
+      } else {
+        ++c.comm_ends;
+        if (type == flight::EventType::kSend) ++c.send_ends;
+        if (type == flight::EventType::kRecv) ++c.recv_ends;
+      }
+    } else if (phase == flight::EventPhase::kPoint) {
+      if (detail == "fit_retry") ++c.point_retries;
+      if (detail == "survivor_shrink") ++c.point_shrinks;
+    }
+  }
+  return c;
+}
+
+class EventPath : public ::testing::TestWithParam<comm::Backend> {
+ protected:
+  static constexpr int kRanks = 3;
+  // Far above what one small fit records, so no ring wraps and every
+  // record is still in the dump.
+  static constexpr std::uint32_t kSlots = 1u << 13;
+
+  /// A 3-rank fit with the timeline, comm metrics, the flight recorder and
+  /// the profiler all on. Rank `victim` (if >= 0) is killed at its 40th
+  /// comm op and leaves, so the others retry and shrink. Returns each
+  /// rank's own counts (empty for the victim) and fills `ring` from the
+  /// segment's dump.
+  std::vector<std::vector<std::byte>> run(int victim,
+                                          std::vector<RingCounts>* ring) {
+    const auto d = data::sample(data::make_paper_mixture(6, 3, 11), 1500, 12);
+    const auto shards = data::shard(d, kRanks);
+    core::Params params;
+    params.seed = 11;
+    params.comm_timeout_seconds = 20.0;
+    params.max_shrink_retries = 3;
+    runtime::RankSegment seg(kRanks, "event path", /*name=*/{}, kSlots);
+    comm::LaunchOptions launch;
+    launch.backend = GetParam();
+    auto blobs = comm::run_ranks_collect_bytes(
+        launch, kRanks, [&](comm::Communicator& c) -> std::vector<std::byte> {
+          std::optional<comm::fault::FaultyComm> faulty;
+          comm::Communicator* ep = &c;
+          if (c.rank() == victim) {
+            comm::fault::FaultSchedule s;
+            s.kill_at_op = 40;
+            faulty.emplace(c, s);
+            ep = &*faulty;
+          }
+          runtime::Context ctx(*ep, params.seed);
+          auto sink = std::make_shared<runtime::MemorySink>();
+          ctx.log().set_sink(sink);
+          ctx.enable_timeline();
+          ctx.enable_comm_metrics();
+          ctx.enable_flight_recorder(&seg);
+          ctx.enable_profiler({}, seg.slot(c.rank()));
+          try {
+            (void)core::fit(
+                ctx, shards[static_cast<std::size_t>(c.rank())].points,
+                params);
+          } catch (const comm::fault::KilledError&) {
+            return {};  // the victim leaves; the survivors shrink around it
+          }
+          ctx.profiler()->stop();
+          RankPlanes p;
+          for (const auto& [path, entry] : ctx.tracer().entries()) {
+            p.scope_calls += entry.calls;
+          }
+          p.spans = ctx.timeline()->spans().size();
+          const comm::TrafficStats t = ctx.comm().stats();
+          p.messages_sent = t.messages_sent;
+          p.messages_received = t.messages_received;
+          p.log_retries = sink->events_named("fit_retry").size();
+          p.log_shrinks = sink->events_named("survivor_shrink").size();
+          for (const auto& i : ctx.timeline()->instants()) {
+            if (i.name == "fit_retry") ++p.instant_retries;
+            if (i.name == "survivor_shrink") ++p.instant_shrinks;
+          }
+          ByteWriter w;
+          w.write(p);
+          return w.take();
+        });
+    // One dump per test instance: ctest runs the instances in parallel.
+    std::string tag =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(tag.begin(), tag.end(), '/', '_');
+    const std::string path = temp_dump_path(tag.c_str());
+    flight::write_flight_dump(path, seg, "event path", {});
+    const auto dump = flight::read_flight_dump(path);
+    std::remove(path.c_str());
+    for (const auto& trail : dump.ranks) {
+      EXPECT_LE(trail.records_total, kSlots) << "rank " << trail.rank
+                                             << "'s ring wrapped";
+      ring->push_back(count_ring(trail));
+    }
+    return blobs;
+  }
+
+  static RankPlanes planes(const std::vector<std::byte>& blob) {
+    ByteReader r(blob);
+    return r.read<RankPlanes>();
+  }
+};
+
+TEST_P(EventPath, CleanFitStagesAndOpsReachEachPlaneOnce) {
+  std::vector<RingCounts> ring;
+  const auto blobs = run(/*victim=*/-1, &ring);
+  ASSERT_EQ(blobs.size(), static_cast<std::size_t>(kRanks));
+  ASSERT_EQ(ring.size(), static_cast<std::size_t>(kRanks));
+  for (int r = 0; r < kRanks; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const auto& f = ring[static_cast<std::size_t>(r)];
+    const RankPlanes p = planes(blobs[static_cast<std::size_t>(r)]);
+    // Stages: one flight begin, one flight end and one span per scope call.
+    EXPECT_GT(p.scope_calls, 0u);
+    EXPECT_EQ(f.stage_begins, p.scope_calls);
+    EXPECT_EQ(f.stage_ends, p.scope_calls);
+    EXPECT_EQ(p.spans, p.scope_calls);
+    // Comm ops: every begin completed, and the completions are the
+    // transport's own message counts.
+    EXPECT_GT(p.messages_sent, 0u);
+    EXPECT_EQ(f.comm_begins, f.comm_ends);
+    EXPECT_EQ(f.send_ends, p.messages_sent);
+    EXPECT_EQ(f.recv_ends, p.messages_received);
+  }
+}
+
+TEST_P(EventPath, RetryReachesEachPlaneOnce) {
+  constexpr int kVictim = 2;
+  std::vector<RingCounts> ring;
+  const auto blobs = run(kVictim, &ring);
+  ASSERT_EQ(blobs.size(), static_cast<std::size_t>(kRanks));
+  for (int r = 0; r < kRanks; ++r) {
+    if (r == kVictim) continue;
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const auto& f = ring[static_cast<std::size_t>(r)];
+    const RankPlanes p = planes(blobs[static_cast<std::size_t>(r)]);
+    EXPECT_GE(p.log_retries, 1u);
+    EXPECT_EQ(p.instant_retries, p.log_retries);
+    EXPECT_EQ(f.point_retries, p.log_retries);
+    EXPECT_GE(p.log_shrinks, 1u);
+    EXPECT_EQ(p.instant_shrinks, p.log_shrinks);
+    EXPECT_EQ(f.point_shrinks, p.log_shrinks);
+  }
+}
+
+TEST(EventPathFlightOnly, FitLeavesTheRegistryWithoutCommMetrics) {
+  // The flight recorder hooks the Context into every comm op, but only the
+  // ring hears about them: no traffic matrix, wait histogram or depth gauge
+  // may appear in the registry of a flight-only fit.
+  constexpr int kRanks = 3;
+  const auto shards = data::shard(
+      data::sample(data::make_paper_mixture(6, 3, 11), 1500, 12), kRanks);
+  runtime::RankSegment seg(kRanks, "flight only");
+  std::vector<int> registry_clean(kRanks, 0);  // one word per rank thread
+  comm::run_ranks(kRanks, [&](comm::Communicator& c) {
+    runtime::Context ctx(c, /*seed=*/11);
+    ctx.enable_flight_recorder(&seg);
+    (void)core::fit(ctx, shards[static_cast<std::size_t>(c.rank())].points,
+                    core::Params{});
+    const auto& m = ctx.metrics();
+    registry_clean[static_cast<std::size_t>(c.rank())] =
+        m.sent().empty() && m.received().empty() &&
+        m.histograms().count("recv_wait") == 0 &&
+        m.histograms().count("barrier_wait") == 0 &&
+        m.gauges().count("mailbox_depth") == 0;
+  });
+  const std::string path = temp_dump_path("flight_only");
+  flight::write_flight_dump(path, seg, "flight only", {});
+  const auto dump = flight::read_flight_dump(path);
+  std::remove(path.c_str());
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(registry_clean[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    EXPECT_GT(count_ring(dump.ranks[static_cast<std::size_t>(r)]).send_ends,
+              0u)
+        << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, EventPath,
+#ifdef __linux__
+    ::testing::Values(comm::Backend::kThread, comm::Backend::kProcess),
+#else
+    ::testing::Values(comm::Backend::kThread),
+#endif
+    [](const ::testing::TestParamInfo<comm::Backend>& info) {
+      return std::string(comm::backend_name(info.param));
+    });
 
 }  // namespace
 }  // namespace keybin2

@@ -308,13 +308,14 @@ TEST(Metrics, FingerprintInvariantUnderMergeOrderPermutation) {
 }
 
 TEST(Timeline, TracerScopesBecomeSpans) {
-  Timeline tl(/*rank=*/0);
-  Tracer tracer;
-  tracer.set_timeline(&tl);
+  Context ctx;
+  ctx.enable_timeline();
+  Tracer& tracer = ctx.tracer();
   {
     auto outer = tracer.scope("fit");
     auto inner = tracer.scope("bin");
   }
+  const Timeline& tl = *ctx.timeline();
   ASSERT_EQ(tl.spans().size(), 2u);
   // Inner closes first; both carry the full path and ordered timestamps.
   EXPECT_EQ(tl.spans()[0].name, "fit/bin");

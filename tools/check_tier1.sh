@@ -3,8 +3,7 @@
 #
 #   tools/check_tier1.sh           # full suite (what CI runs)
 #   tools/check_tier1.sh --quick   # skip suites labelled `slow` (ctest -LE slow)
-#   tools/check_tier1.sh --tsan    # ThreadSanitizer build, `comm`-labelled
-#                                  # suites (ctest -L comm)
+#   tools/check_tier1.sh --tsan    # ThreadSanitizer build, full suite
 #   tools/check_tier1.sh --asan    # AddressSanitizer build, full suite
 #   tools/check_tier1.sh --ubsan   # UndefinedBehaviorSanitizer build (with
 #                                  # float-cast-overflow), full suite
@@ -91,10 +90,10 @@
 #
 # The sanitizer modes build into their own directories
 # (build-tsan/build-asan/build-ubsan) so they never dirty the primary build.
-# TSan runs the eleven `comm`-labelled suites (comm, coreset, observability,
-# analysis, fused, keybin2, fault injection, resilience, proc_comm, profile,
-# flight) — the threaded and shared-memory code where it earns its ~10x
-# slowdown.
+# TSan runs the whole suite: the comm probe's callbacks write the flight
+# ring and the timeline from inside the transports (under ThreadComm's
+# mailbox lock), and suites without the `comm` label — the tracer's, the
+# checkpoint refits' — drive those paths too.
 # ASan runs the whole suite, with ASAN_OPTIONS=detect_stack_use_after_return=1
 # unless the caller set ASAN_OPTIONS: a frame touched after its function
 # returned (a thread-pool job, a borrowed buffer) is exactly what the rest of
@@ -142,7 +141,6 @@ cmake_args=()
 if [[ "${sanitize}" == "thread" ]]; then
   build_dir="${BUILD_DIR:-${repo_root}/build-tsan}"
   cmake_args+=(-DKB2_SANITIZE=thread)
-  ctest_args+=(-L comm)
 elif [[ "${sanitize}" == "address" ]]; then
   build_dir="${BUILD_DIR:-${repo_root}/build-asan}"
   cmake_args+=(-DKB2_SANITIZE=address)
