@@ -634,23 +634,28 @@ std::vector<std::vector<std::byte>> Communicator::allgather(
   if (rank() == 0) {
     writer.write<std::uint64_t>(gathered.size());
     for (const auto& blob : gathered) {
-      writer.write<std::uint64_t>(blob.size());
-      for (std::byte b : blob) writer.write(b);
+      writer.write_span(std::span<const std::byte>(blob));
     }
   }
   auto bytes = writer.take();
   broadcast(bytes, /*root=*/0);
-  if (rank() != 0) {
-    ByteReader reader(bytes);
-    const auto n = reader.read<std::uint64_t>();
-    gathered.resize(n);
-    for (auto& blob : gathered) {
-      const auto len = reader.read<std::uint64_t>();
-      blob.resize(len);
-      for (auto& b : blob) b = reader.read<std::byte>();
-    }
-  }
+  if (rank() != 0) gathered = decode_allgather(bytes, size());
   return gathered;
+}
+
+std::vector<std::vector<std::byte>> decode_allgather(
+    std::span<const std::byte> payload, int group_size) {
+  ByteReader reader(payload);
+  const auto n = reader.read<std::uint64_t>();
+  KB2_CHECK_MSG(n == static_cast<std::uint64_t>(group_size),
+                "allgather payload carries " << n << " blobs for a group of "
+                                             << group_size);
+  std::vector<std::vector<std::byte>> blobs(n);
+  for (auto& blob : blobs) blob = reader.read_vec<std::byte>();
+  KB2_CHECK_MSG(reader.exhausted(), "allgather payload has "
+                                        << reader.remaining()
+                                        << " bytes past its last blob");
+  return blobs;
 }
 
 void Communicator::send_doubles(int dest, int tag, std::span<const double> v) {

@@ -214,6 +214,12 @@ std::string tag_name(int tag);
 /// "rank_failed", "recovery", "corrupt_frame") for event-log attribution.
 const char* error_kind(const CommError& e);
 
+/// Decode the payload that Communicator::allgather broadcasts. Throws
+/// keybin2::Error unless it holds exactly `group_size` blobs, each length
+/// inside the payload, and nothing after the last one.
+std::vector<std::vector<std::byte>> decode_allgather(
+    std::span<const std::byte> payload, int group_size);
+
 class Communicator {
  public:
   virtual ~Communicator() = default;
@@ -364,7 +370,8 @@ class Communicator {
   std::vector<std::vector<std::byte>> gather(std::span<const std::byte> local,
                                              int root);
 
-  /// Gather per-rank blobs to every rank.
+  /// Gather per-rank blobs to every rank: a gather to rank 0, then a
+  /// broadcast of [u64 count][per blob: u64 length, bytes] from rank 0.
   std::vector<std::vector<std::byte>> allgather(
       std::span<const std::byte> local);
 

@@ -150,13 +150,15 @@ FitResult fit_once(runtime::Context& ctx, const Matrix& local_points,
       continue;
     }
 
-    // (4) + (6) Partition and rate with the histogram-space CH index; the
-    // root tracks the best model. Classic mode sweeps one global depth over
-    // [min_depth, max_depth]; the per-dimension extension lets every kept
-    // dimension pick its own depth first, then evaluates that single
-    // combined candidate.
-    for (const auto& depths : depth_candidates(hists, kept_dims, params)) {
-      auto candidate = stage_partition(ctx, hists, kept_dims, depths, params);
+    // (4) + (6) Partition every candidate once across the ranks, then rate
+    // each with the histogram-space CH index; the root tracks the best
+    // model. Classic mode sweeps one global depth over [min_depth,
+    // max_depth]; the per-dimension extension lets every kept dimension
+    // pick its own depth first, then evaluates that single combined
+    // candidate.
+    for (auto& candidate :
+         stage_partition(ctx, hists, kept_dims,
+                         depth_candidates(hists, kept_dims, params), params)) {
       auto assessed = stage_assess(ctx, ws.keys, kept_dims, candidate, params);
 
       if (assessed.scored) {

@@ -7,7 +7,9 @@
 //   2. assign keys per point/dimension (local, embarrassingly parallel)
 //   3. communicate binning histograms  (allreduce — the only data that moves)
 //   4. partition histograms            (discrete optimization, deterministic
-//                                       from the merged histograms)
+//                                       from the merged histograms: each
+//                                       candidate on one rank, cuts
+//                                       allgathered)
 //   5. perform clustering assignments  (local, via the broadcast model)
 //   6. assess projected subspaces      (histogram-space Calinski–Harabasz,
 //                                       bootstrapped over t trials x depths)

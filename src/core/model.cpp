@@ -199,11 +199,7 @@ void Model::serialize(ByteWriter& w) const {
     w.write(r.lo);
     w.write(r.hi);
   }
-  w.write<std::uint64_t>(partitions_.size());
-  for (const auto& p : partitions_) {
-    w.write<std::uint64_t>(p.bins);
-    w.write_vec(p.cuts);
-  }
+  write_partitions(w, partitions_);
   w.write<std::uint64_t>(cells_.size());
   for (const auto& c : cells_) {
     w.write_vec(c.coord);
@@ -240,12 +236,7 @@ Model Model::deserialize(ByteReader& r) {
                   "model range " << j << " [" << range.lo << ", " << range.hi
                                  << "] is not finite");
   }
-  const auto n_parts = r.read<std::uint64_t>();
-  m.partitions_.resize(n_parts);
-  for (auto& p : m.partitions_) {
-    p.bins = r.read<std::uint64_t>();
-    p.cuts = r.read_vec<std::size_t>();
-  }
+  m.partitions_ = read_partitions(r);
   const auto n_cells = r.read<std::uint64_t>();
   m.cells_.resize(n_cells);
   for (auto& c : m.cells_) {

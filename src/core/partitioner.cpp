@@ -23,6 +23,39 @@ std::pair<std::size_t, std::size_t> DimensionPartition::range_of(
   return {begin, end};
 }
 
+void write_partitions(ByteWriter& w,
+                      const std::vector<DimensionPartition>& partitions) {
+  w.write<std::uint64_t>(partitions.size());
+  for (const auto& p : partitions) {
+    w.write<std::uint64_t>(p.bins);
+    w.write_vec(p.cuts);
+  }
+}
+
+std::vector<DimensionPartition> read_partitions(ByteReader& r) {
+  const auto n = r.read<std::uint64_t>();
+  // Each partition takes at least its two u64 prefixes, which bounds the
+  // count before anything is allocated.
+  KB2_CHECK_MSG(n <= r.remaining() / (2 * sizeof(std::uint64_t)),
+                "partition count " << n << " exceeds the remaining "
+                                   << r.remaining() << " bytes");
+  std::vector<DimensionPartition> out(n);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    auto& p = out[k];
+    p.bins = r.read<std::uint64_t>();
+    p.cuts = r.read_vec<std::size_t>();
+    std::size_t prev = 0;
+    for (const std::size_t cut : p.cuts) {
+      KB2_CHECK_MSG(cut > prev && cut < p.bins,
+                    "partition " << k << ": cut " << cut << " after " << prev
+                                 << " is not ascending inside (0, "
+                                 << p.bins << ")");
+      prev = cut;
+    }
+  }
+  return out;
+}
+
 DimensionPartition partition_discrete_opt(std::span<const double> counts,
                                           double min_prominence,
                                           PartitionTrace* trace,

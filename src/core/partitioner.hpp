@@ -23,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "core/params.hpp"
 #include "stats/histogram.hpp"
 
@@ -43,6 +44,16 @@ struct DimensionPartition {
   /// Bin range [begin, end) of primary cluster p.
   std::pair<std::size_t, std::size_t> range_of(std::size_t p) const;
 };
+
+/// Wire form of a partition list, shared by Model bytes and the partition
+/// stage's cut exchange: a u64 count, then per partition a u64 `bins` and
+/// the cuts as a length-prefixed u64 vector.
+void write_partitions(ByteWriter& w,
+                      const std::vector<DimensionPartition>& partitions);
+
+/// Inverse of write_partitions. Throws keybin2::Error on a truncated list or
+/// on cuts that are not strictly ascending inside (0, bins).
+std::vector<DimensionPartition> read_partitions(ByteReader& r);
 
 /// Diagnostic trace of the discrete optimization (exposed for tests and the
 /// Figure 2 bench). Passing one is what makes the partitioner compute the

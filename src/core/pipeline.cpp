@@ -293,26 +293,99 @@ std::vector<std::vector<int>> depth_candidates(
   return candidates;
 }
 
-PartitionedCandidate stage_partition(
+int candidate_owner(std::size_t k, int ranks) {
+  return ranks - 1 - static_cast<int>(k % static_cast<std::size_t>(ranks));
+}
+
+std::vector<PartitionedCandidate> stage_partition(
     runtime::Context& ctx,
     const std::vector<stats::HierarchicalHistogram>& hists,
-    const std::vector<int>& kept_dims, std::vector<int> depths,
-    const Params& params) {
-  KB2_CHECK_MSG(depths.size() == kept_dims.size(),
-                "stage_partition: " << depths.size() << " depths for "
-                                    << kept_dims.size() << " kept dims");
+    const std::vector<int>& kept_dims,
+    std::vector<std::vector<int>> candidates, const Params& params) {
   auto scope = ctx.tracer().scope(stage::kPartition);
-  PartitionedCandidate out;
-  out.depths = std::move(depths);
-  out.dim_hists.reserve(kept_dims.size());
-  out.partitions.reserve(kept_dims.size());
-  for (std::size_t k = 0; k < kept_dims.size(); ++k) {
-    const auto j = static_cast<std::size_t>(kept_dims[k]);
-    auto level = hists[j].level(out.depths[k]);
-    out.partitions.push_back(partition(level.counts(), params));
-    out.dim_hists.push_back(std::move(level));
+  const int ranks = ctx.comm().size();
+  const int me = ctx.comm().rank();
+  // Every rank checks every candidate, so a bad one throws on all ranks
+  // alike rather than on its owner alone while the others enter the
+  // exchange.
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    KB2_CHECK_MSG(candidates[k].size() == kept_dims.size(),
+                  "stage_partition: candidate " << k << " has "
+                                                << candidates[k].size()
+                                                << " depths for "
+                                                << kept_dims.size()
+                                                << " kept dims");
+    for (std::size_t i = 0; i < kept_dims.size(); ++i) {
+      const int max_depth =
+          hists[static_cast<std::size_t>(kept_dims[i])].max_depth();
+      KB2_CHECK_MSG(candidates[k][i] >= 1 && candidates[k][i] <= max_depth,
+                    "stage_partition: candidate " << k << " depth "
+                                                  << candidates[k][i]
+                                                  << " out of [1, "
+                                                  << max_depth << "]");
+    }
+  }
+  std::vector<PartitionedCandidate> out(candidates.size());
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    auto& c = out[k];
+    c.depths = std::move(candidates[k]);
+    const bool owner = candidate_owner(k, ranks) == me;
+    if (!owner && !ctx.is_root()) continue;
+    for (std::size_t i = 0; i < kept_dims.size(); ++i) {
+      auto level =
+          hists[static_cast<std::size_t>(kept_dims[i])].level(c.depths[i]);
+      if (owner) c.partitions.push_back(partition(level.counts(), params));
+      if (ctx.is_root()) c.dim_hists.push_back(std::move(level));
+    }
+  }
+  ByteWriter mine;
+  write_owned_cuts(mine, out, me, ranks);
+  const auto blobs = ctx.comm().allgather(mine.bytes());
+  for (int r = 0; r < ranks; ++r) {
+    if (r == me) continue;
+    ByteReader reader(blobs[static_cast<std::size_t>(r)]);
+    read_owned_cuts(reader, out, r, ranks);
   }
   return out;
+}
+
+void write_owned_cuts(ByteWriter& w,
+                      const std::vector<PartitionedCandidate>& candidates,
+                      int rank, int ranks) {
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    if (candidate_owner(k, ranks) != rank) continue;
+    w.write<std::uint64_t>(k);
+    write_partitions(w, candidates[k].partitions);
+  }
+}
+
+void read_owned_cuts(ByteReader& r,
+                     std::vector<PartitionedCandidate>& candidates,
+                     int sender, int ranks) {
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    if (candidate_owner(k, ranks) != sender) continue;
+    const auto index = r.read<std::uint64_t>();
+    KB2_CHECK_MSG(index == k, "rank " << sender << " sent candidate "
+                                      << index << " where candidate " << k
+                                      << " of " << candidates.size()
+                                      << " was due");
+    auto& c = candidates[k];
+    auto partitions = read_partitions(r);
+    KB2_CHECK_MSG(partitions.size() == c.depths.size(),
+                  "rank " << sender << " sent " << partitions.size()
+                          << " partitions for candidate " << k << "'s "
+                          << c.depths.size() << " kept dims");
+    for (std::size_t i = 0; i < partitions.size(); ++i) {
+      const auto bins = std::uint64_t{1} << c.depths[i];
+      KB2_CHECK_MSG(partitions[i].bins == bins,
+                    "rank " << sender << " sent " << partitions[i].bins
+                            << " bins for candidate " << k << ", dim " << i
+                            << " at depth " << c.depths[i]);
+    }
+    c.partitions = std::move(partitions);
+  }
+  KB2_CHECK_MSG(r.exhausted(), "rank " << sender << " sent " << r.remaining()
+                                       << " bytes past its cuts");
 }
 
 AssessedCandidate stage_assess(runtime::Context& ctx, const KeyTable& keys,

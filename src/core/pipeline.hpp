@@ -127,21 +127,46 @@ std::vector<std::vector<int>> depth_candidates(
     const std::vector<stats::HierarchicalHistogram>& hists,
     const std::vector<int>& kept_dims, const Params& params);
 
-/// Stage 5 output: one depth candidate's partitions.
+/// Stage 5 output: one depth candidate's partitions. Every rank holds the
+/// depths and partitions; `dim_hists` (the kept dimensions' merged
+/// histograms at the candidate's depths) only the root, which scores.
 struct PartitionedCandidate {
   std::vector<int> depths;  // one per kept dimension
   std::vector<stats::Histogram> dim_hists;
   std::vector<DimensionPartition> partitions;
 };
 
-/// Stage 5 [local]: cut each kept dimension's global histogram at the given
-/// depth with the discrete-optimization partitioner. Deterministic from the
-/// merged histograms, so every rank computes identical partitions.
-PartitionedCandidate stage_partition(
+/// The rank that partitions depth candidate `k` in a `ranks`-rank group.
+/// Owners count down from the last rank, so the root, which also scores
+/// every candidate, owns no more candidates than any other rank.
+int candidate_owner(std::size_t k, int ranks);
+
+/// Stage 5 [collective]: cut each kept dimension's merged histogram at
+/// every depth candidate of a trial with the discrete-optimization
+/// partitioner. The merged histograms are identical on every rank, so
+/// each candidate is partitioned once, by its owner, and one allgather
+/// hands every rank every candidate's cuts (DESIGN.md §4a). Only owners
+/// and the root build a candidate's level histograms.
+std::vector<PartitionedCandidate> stage_partition(
     runtime::Context& ctx,
     const std::vector<stats::HierarchicalHistogram>& hists,
-    const std::vector<int>& kept_dims, std::vector<int> depths,
-    const Params& params);
+    const std::vector<int>& kept_dims,
+    std::vector<std::vector<int>> candidates, const Params& params);
+
+/// The cut exchange's wire form for the candidates `rank` owns, in
+/// ascending order: per candidate a u64 index, then its partitions
+/// (write_partitions).
+void write_owned_cuts(ByteWriter& w,
+                      const std::vector<PartitionedCandidate>& candidates,
+                      int rank, int ranks);
+
+/// Read the cuts `sender` owns into `candidates` (whose depths are set).
+/// Throws keybin2::Error unless each index is the next one `sender` owns,
+/// each candidate has one partition per depth, each partition has 2^depth
+/// bins and valid cuts, and no byte is left over.
+void read_owned_cuts(ByteReader& r,
+                     std::vector<PartitionedCandidate>& candidates,
+                     int sender, int ranks);
 
 /// Stage 6 output: the candidate's occupied cells and histogram-space CH
 /// score, valid at the root rank only (`scored` false elsewhere).

@@ -221,11 +221,13 @@ const Model& StreamingKeyBin2::refit_once(runtime::Context& ctx) {
       fused_keys(trial.reservoir, ranges, params_.max_depth, keys);
     }
 
-    // (4) + (6) Partition every depth candidate and rate it; the root
-    // tracks the best model, with reservoir counts scaled to stream mass.
-    for (const auto& depths : depth_candidates(merged, kept_dims, params_)) {
-      auto candidate =
-          stage_partition(ctx, merged, kept_dims, depths, params_);
+    // (4) + (6) Partition every depth candidate once across the ranks and
+    // rate it; the root tracks the best model, with reservoir counts scaled
+    // to stream mass.
+    for (auto& candidate :
+         stage_partition(ctx, merged, kept_dims,
+                         depth_candidates(merged, kept_dims, params_),
+                         params_)) {
       auto assessed = stage_assess(ctx, keys, kept_dims, candidate, params_,
                                    local_weight);
       if (assessed.scored && assessed.score > best.score) {

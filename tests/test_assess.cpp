@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <tuple>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "stats/distributions.hpp"
 
 namespace keybin2::core {
 namespace {
@@ -122,6 +129,181 @@ TEST(Assess, MoreBinsThanCellsRequiredForPositiveScore) {
   p.cuts = {1};
   std::vector<Cell> cells{Cell{{0}, 10.0, -1}, Cell{{1}, 10.0, -1}};
   EXPECT_EQ(histogram_calinski_harabasz({h}, {p}, cells), 0.0);
+}
+
+// ---- Exact-integer W_Q: with integral counts and a small enough bound,
+// the index sums each (dimension, primary)'s dispersion once. The reference
+// below is the per-cell, per-bin serial loop that every other candidate
+// keeps; the two must agree bit for bit. ----
+
+struct ReferenceScore {
+  double within = 0.0;
+  double score = 0.0;
+};
+
+ReferenceScore serial_loop_reference(
+    const std::vector<stats::Histogram>& dim_hists,
+    const std::vector<DimensionPartition>& partitions,
+    const std::vector<Cell>& cells) {
+  const std::size_t q_count = cells.size();
+  const std::size_t dims = dim_hists.size();
+  std::size_t total_bins = 0;
+  for (const auto& h : dim_hists) total_bins += h.bins();
+  double w_q = 0.0, b_q = 0.0;
+  for (const auto& cell : cells) {
+    for (std::size_t j = 0; j < dims; ++j) {
+      const auto counts = dim_hists[j].counts();
+      const auto [begin, end] = partitions[j].range_of(cell.coord[j]);
+      std::size_t mode = begin;
+      double mode_density = begin < end ? counts[begin] : 0.0;
+      double mass = 0.0;
+      for (std::size_t b = begin; b < end; ++b) {
+        mass += counts[b];
+        if (counts[b] > mode_density) {
+          mode_density = counts[b];
+          mode = b;
+        }
+      }
+      for (std::size_t b = begin; b < end; ++b) {
+        const double d = static_cast<double>(b) - static_cast<double>(mode);
+        w_q += d * d * counts[b];
+      }
+      const double dc =
+          static_cast<double>(mode) -
+          static_cast<double>(stats::percentile_bin(counts, 50.0));
+      b_q += dc * dc * mass;
+    }
+  }
+  ReferenceScore out{w_q, 0.0};
+  if (b_q > 0.0 && total_bins > q_count) {
+    const double dof = static_cast<double>(total_bins - q_count) /
+                       static_cast<double>(q_count - 1);
+    out.score = (b_q / std::max(w_q, 1e-12)) * dof *
+                std::max(1.0, std::log2(static_cast<double>(q_count - 1)));
+  }
+  return out;
+}
+
+/// A random candidate: 1-6 kept dimensions at depths 3-12 (uniform or per
+/// dimension), integer counts with runs of empty bins, up to 8 cuts per
+/// dimension and 2-300 cells on the primary grid.
+Scenario random_candidate(Rng& rng) {
+  Scenario s;
+  const auto dims = 1 + rng.uniform_int(6);
+  const bool uniform_depth = rng.uniform_int(2) == 0;
+  const int depth0 = 3 + static_cast<int>(rng.uniform_int(10));
+  for (std::size_t j = 0; j < dims; ++j) {
+    const int depth =
+        uniform_depth ? depth0 : 3 + static_cast<int>(rng.uniform_int(10));
+    const std::size_t bins = std::size_t{1} << depth;
+    stats::Histogram h(0.0, 1.0, bins);
+    for (std::size_t b = 0; b < bins; ++b) {
+      if (rng.uniform_int(4) != 0) {
+        h.add_to_bin(b, static_cast<double>(rng.uniform_int(5000)));
+      }
+    }
+    s.hists.push_back(std::move(h));
+    DimensionPartition p;
+    p.bins = bins;
+    const auto n_cuts = rng.uniform_int(std::min<std::uint64_t>(9, bins - 1));
+    for (std::uint64_t c = 0; c < n_cuts; ++c) {
+      p.cuts.push_back(1 + rng.uniform_int(bins - 1));
+    }
+    std::sort(p.cuts.begin(), p.cuts.end());
+    p.cuts.erase(std::unique(p.cuts.begin(), p.cuts.end()), p.cuts.end());
+    s.partitions.push_back(std::move(p));
+  }
+  const auto q = 2 + rng.uniform_int(299);
+  for (std::uint64_t i = 0; i < q; ++i) {
+    Cell cell;
+    for (const auto& p : s.partitions) {
+      cell.coord.push_back(
+          static_cast<std::uint32_t>(rng.uniform_int(p.primary_count())));
+    }
+    cell.density = 1.0;
+    s.cells.push_back(std::move(cell));
+  }
+  return s;
+}
+
+/// Expect the index, with and without a breakdown, to equal the serial
+/// loop's bits, W_Q included.
+void expect_bits_of_serial_loop(const Scenario& s) {
+  const auto ref = serial_loop_reference(s.hists, s.partitions, s.cells);
+  AssessBreakdown breakdown;
+  const double with =
+      histogram_calinski_harabasz(s.hists, s.partitions, s.cells, &breakdown);
+  const double without =
+      histogram_calinski_harabasz(s.hists, s.partitions, s.cells);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(breakdown.within),
+            std::bit_cast<std::uint64_t>(ref.within))
+      << breakdown.within << " vs " << ref.within;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(with),
+            std::bit_cast<std::uint64_t>(ref.score));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(without),
+            std::bit_cast<std::uint64_t>(ref.score));
+}
+
+/// A bin inside the primary that cells[0] occupies in dimension 0, so the
+/// serial loop reads it.
+std::size_t occupied_bin(const Scenario& s, Rng& rng) {
+  const auto [begin, end] = s.partitions[0].range_of(s.cells[0].coord[0]);
+  return begin + rng.uniform_int(end - begin);
+}
+
+/// The exact-integer bound: sum over (cell, dimension) of bins^2 * mass.
+double within_bound(const Scenario& s) {
+  double bound = 0.0;
+  for (const auto& cell : s.cells) {
+    for (std::size_t j = 0; j < s.hists.size(); ++j) {
+      const auto [begin, end] = s.partitions[j].range_of(cell.coord[j]);
+      double mass = 0.0;
+      for (std::size_t b = begin; b < end; ++b) mass += s.hists[j].count(b);
+      const auto bins = static_cast<double>(s.partitions[j].bins);
+      bound += bins * bins * mass;
+    }
+  }
+  return bound;
+}
+
+TEST(AssessIntegralWithin, MatchesTheSerialLoopBitForBit) {
+  Rng rng(20261020);
+  int below_bound = 0;
+  for (int i = 0; i < 400; ++i) {
+    SCOPED_TRACE("candidate " + std::to_string(i));
+    const auto s = random_candidate(rng);
+    below_bound += within_bound(s) < 0x1p53 ? 1 : 0;
+    expect_bits_of_serial_loop(s);
+  }
+  // Most candidates take the per-primary sum; the deepest ones with many
+  // cells exceed the bound and keep the loop.
+  EXPECT_GT(below_bound, 200);
+}
+
+TEST(AssessIntegralWithin, OneFractionalCountKeepsTheSerialLoop) {
+  Rng rng(71);
+  for (int i = 0; i < 400; ++i) {
+    SCOPED_TRACE("candidate " + std::to_string(i));
+    auto s = random_candidate(rng);
+    s.hists[0].add_to_bin(occupied_bin(s, rng), 0.3);
+    expect_bits_of_serial_loop(s);
+  }
+}
+
+TEST(AssessIntegralWithin, BoundAt2To53KeepsTheSerialLoop) {
+  // A count of 2^40 at depth 12 puts bins^2 * mass at 2^64 or more: the
+  // serial loop's partial sums are no longer exact integers.
+  Rng rng(53);
+  int deep = 0;
+  for (int i = 0; i < 400; ++i) {
+    auto s = random_candidate(rng);
+    if (s.hists[0].bins() != 4096) continue;
+    ++deep;
+    SCOPED_TRACE("candidate " + std::to_string(i));
+    s.hists[0].add_to_bin(occupied_bin(s, rng), 0x1p40);
+    expect_bits_of_serial_loop(s);
+  }
+  EXPECT_GT(deep, 10);
 }
 
 }  // namespace

@@ -289,6 +289,84 @@ INSTANTIATE_TEST_SUITE_P(GroupSizes, CollectiveSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 16));
 
 
+// ---- allgather copies each blob whole, on both backends ----
+
+std::vector<std::byte> patterned_blob(int rank, std::size_t size) {
+  std::vector<std::byte> blob(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    blob[i] = static_cast<std::byte>(
+        (i * 131 + static_cast<std::size_t>(rank) * 7) & 0xff);
+  }
+  return blob;
+}
+
+class Allgather : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(Allgather, EmptyOneByteAndLargeBlobsRoundTrip) {
+  const std::size_t sizes[] = {0, 1, 100000};
+  LaunchOptions options;
+  options.backend = GetParam();
+  const auto results = run_ranks_collect_bytes(
+      options, 3, [&](Communicator& c) {
+        const auto r = static_cast<std::size_t>(c.rank());
+        const auto gathered = c.allgather(patterned_blob(c.rank(), sizes[r]));
+        ByteWriter w;
+        w.write<std::uint64_t>(gathered.size());
+        for (const auto& blob : gathered) w.write_vec(blob);
+        return w.take();
+      });
+  ASSERT_EQ(results.size(), 3u);
+  for (int r = 0; r < 3; ++r) {
+    ByteReader reader(results[static_cast<std::size_t>(r)]);
+    ASSERT_EQ(reader.read<std::uint64_t>(), 3u) << "rank " << r;
+    for (int from = 0; from < 3; ++from) {
+      EXPECT_EQ(reader.read_vec<std::byte>(),
+                patterned_blob(from, sizes[static_cast<std::size_t>(from)]))
+          << "rank " << r << ", blob of rank " << from;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, Allgather,
+                         ::testing::Values(Backend::kThread, Backend::kProcess),
+                         [](const auto& info) {
+                           return std::string(backend_name(info.param));
+                         });
+
+TEST(AllgatherDecode, MalformedPayloadsThrow) {
+  const auto payload = [](std::uint64_t count,
+                          std::initializer_list<std::uint64_t> lengths,
+                          std::size_t bytes) {
+    ByteWriter w;
+    w.write<std::uint64_t>(count);
+    for (const auto len : lengths) w.write(len);
+    for (std::size_t i = 0; i < bytes; ++i) w.write(std::byte{1});
+    return w.take();
+  };
+  // Well formed: three blobs of 0, 1 and 2 bytes (lengths, then bytes,
+  // interleaved per blob).
+  ByteWriter ok;
+  ok.write<std::uint64_t>(3);
+  for (std::size_t len = 0; len < 3; ++len) {
+    ok.write_vec(std::vector<std::byte>(len, std::byte{9}));
+  }
+  const auto blobs = decode_allgather(ok.bytes(), 3);
+  ASSERT_EQ(blobs.size(), 3u);
+  EXPECT_EQ(blobs[2], std::vector<std::byte>(2, std::byte{9}));
+
+  // A length prefix that runs past the payload's end.
+  EXPECT_THROW(decode_allgather(payload(1, {1000}, 10), 1), Error);
+  EXPECT_THROW(decode_allgather(payload(1, {~std::uint64_t{0}}, 0), 1),
+               Error);
+  // A blob count other than the group size.
+  EXPECT_THROW(decode_allgather(payload(2, {0, 0}, 0), 3), Error);
+  EXPECT_THROW(decode_allgather(payload(std::uint64_t{1} << 40, {}, 0), 3),
+               Error);
+  // Bytes past the last blob, and a payload too short for its count.
+  EXPECT_THROW(decode_allgather(payload(1, {0}, 1), 1), Error);
+  EXPECT_THROW(decode_allgather(std::vector<std::byte>(4), 1), Error);
+}
+
 // ---- Ring allreduce (§3 step 3: "works as well for a ring topology") ----
 
 class RingSweep : public ::testing::TestWithParam<int> {};

@@ -223,40 +223,81 @@ TEST(Fit, PerDimensionDepthEvaluatesOneCandidatePerTrial) {
   EXPECT_EQ(result.trials.size(), 5u);
 }
 
+// Model bytes, this rank's labels and the trial diagnostics, field by
+// field: what every rank of a distributed fit must share with the serial
+// fit.
+std::vector<std::byte> fit_bytes(const Model& model,
+                                 std::span<const int> labels,
+                                 const std::vector<TrialDiagnostics>& trials) {
+  ByteWriter w;
+  model.serialize(w);
+  w.write_span(labels);
+  w.write<std::uint64_t>(trials.size());
+  for (const auto& t : trials) {
+    w.write(t.trial);
+    w.write(t.depth);
+    w.write(t.kept_dims);
+    w.write(t.cells);
+    w.write(t.score);
+  }
+  return w.take();
+}
+
+/// Fit `d` over `ranks` ranks of `backend` and expect every rank's
+/// fit_bytes to equal the serial fit's, with its own slice of the labels.
+void expect_distributed_matches_serial(const data::Dataset& d,
+                                       const Params& params, int ranks,
+                                       comm::Backend backend,
+                                       const FitResult& serial) {
+  const auto shards = data::shard(d, ranks);
+  const auto rows = data::partition_rows(d.size(), ranks);
+  comm::LaunchOptions options;
+  options.backend = backend;
+  const auto blobs = comm::run_ranks_collect_bytes(
+      options, ranks, [&](comm::Communicator& c) {
+        const auto r = static_cast<std::size_t>(c.rank());
+        const auto result = fit(c, shards[r].points, params);
+        return fit_bytes(result.model, result.labels, result.trials);
+      });
+  for (int r = 0; r < ranks; ++r) {
+    const auto& range = rows[static_cast<std::size_t>(r)];
+    const auto expected = fit_bytes(
+        serial.model,
+        std::span<const int>(serial.labels).subspan(range.begin,
+                                                    range.count()),
+        serial.trials);
+    EXPECT_EQ(blobs[static_cast<std::size_t>(r)], expected)
+        << "rank " << r << " of " << ranks << " diverged from the serial fit";
+  }
+}
+
 TEST(Fit, PerDimensionDepthDistributedEquivalence) {
+  // One candidate per trial: its owner is the last rank, and every other
+  // rank owns nothing in the partition exchange.
   const auto spec = data::make_paper_mixture(24, 3, 65);
   const auto d = data::sample(spec, 1600, 66);
   Params params;
   params.per_dimension_depth = true;
   const auto serial = fit(d.points, params);
-
-  const auto shards = data::shard(d, 4);
-  std::vector<int> combined(d.size());
-  comm::run_ranks(4, [&](comm::Communicator& c) {
-    const auto r = static_cast<std::size_t>(c.rank());
-    const auto result = fit(c, shards[r].points, params);
-    const auto ranges = data::partition_rows(d.size(), 4);
-    std::copy(result.labels.begin(), result.labels.end(),
-              combined.begin() + static_cast<std::ptrdiff_t>(ranges[r].begin));
-  });
-  EXPECT_EQ(combined, serial.labels);
+  for (const auto backend : {comm::Backend::kThread, comm::Backend::kProcess}) {
+    for (const int ranks : {2, 3, 8}) {
+      SCOPED_TRACE(std::string(comm::backend_name(backend)) + " backend, " +
+                   std::to_string(ranks) + " ranks");
+      expect_distributed_matches_serial(d, params, ranks, backend, serial);
+    }
+  }
 }
 
 // ---- Distributed equivalence: the paper's central claim is that the
 // distributed algorithm computes the same clustering as a centralized run,
 // because only histograms are exchanged. Every exact comm mode, on either
-// backend, must hand each rank the serial model's bytes and its own slice
-// of the serial labels. At max_depth 10 the merge carries n_rp x 1024 bins,
-// at least kRecursiveHalvingMinElements, so the sparse and auto modes run
-// recursive halving with sparse segments. ----
-
-std::vector<std::byte> model_and_labels(const Model& model,
-                                        std::span<const int> labels) {
-  ByteWriter w;
-  model.serialize(w);
-  w.write_span(labels);
-  return w.take();
-}
+// backend, must hand each rank the serial model's bytes, its own slice of
+// the serial labels and the serial trial diagnostics. At max_depth 10 the
+// merge carries n_rp x 1024 bins, at least kRecursiveHalvingMinElements, so
+// the sparse and auto modes run recursive halving with sparse segments. The
+// depth sweep's edge cases ride along: a single depth (one candidate per
+// trial, so most ranks own none) and a fit whose every trial collapses (no
+// candidate at all). ----
 
 class DistributedEquivalence : public ::testing::TestWithParam<int> {};
 
@@ -264,38 +305,39 @@ TEST_P(DistributedEquivalence, MatchesSerialExactly) {
   const int ranks = GetParam();
   const auto spec = data::make_paper_mixture(30, 4, 21);
   const auto d = data::sample(spec, 2400, 22);
-  Params params;
-  params.max_depth = 10;
-  const auto serial = fit(d.points, params);
-
-  const auto shards = data::shard(d, ranks);
-  const auto rows = data::partition_rows(d.size(), ranks);
+  Params sweep;
+  sweep.max_depth = 10;
+  Params one_depth;
+  one_depth.min_depth = 8;
+  one_depth.max_depth = 8;
+  Params all_collapse;
+  all_collapse.collapse_threshold = 2.0;  // above any KS statistic
+  const std::pair<Params, const char*> cases[] = {
+      {sweep, "depth sweep"},
+      {one_depth, "min_depth == max_depth"},
+      {all_collapse, "every trial collapses"}};
   const std::pair<CommMode, const char*> exact_modes[] = {
       {CommMode::kDense, "dense"},
       {CommMode::kSparse, "sparse"},
       {CommMode::kRing, "ring"},
       {CommMode::kAuto, "auto"}};
-  for (const auto backend : {comm::Backend::kThread, comm::Backend::kProcess}) {
-    for (const auto& [mode, name] : exact_modes) {
-      SCOPED_TRACE(std::string(comm::backend_name(backend)) + " backend, " +
-                   name + " mode");
-      params.comm_mode = mode;
-      comm::LaunchOptions options;
-      options.backend = backend;
-      const auto blobs = comm::run_ranks_collect_bytes(
-          options, ranks, [&](comm::Communicator& c) {
-            const auto r = static_cast<std::size_t>(c.rank());
-            const auto result = fit(c, shards[r].points, params);
-            return model_and_labels(result.model, result.labels);
-          });
-      for (int r = 0; r < ranks; ++r) {
-        const auto& range = rows[static_cast<std::size_t>(r)];
-        const auto expected = model_and_labels(
-            serial.model,
-            std::span<const int>(serial.labels).subspan(range.begin,
-                                                        range.count()));
-        EXPECT_EQ(blobs[static_cast<std::size_t>(r)], expected)
-            << "rank " << r << " diverged from the serial fit";
+  for (auto [params, case_name] : cases) {
+    const auto serial = fit(d.points, params);
+    ASSERT_FALSE(serial.trials.empty());
+    for (const auto& t : serial.trials) {
+      if (params.min_depth == params.max_depth) {
+        EXPECT_EQ(t.depth, params.max_depth) << case_name;
+      }
+      if (params.collapse_threshold > 1.0) EXPECT_EQ(t.kept_dims, 0);
+    }
+    for (const auto backend :
+         {comm::Backend::kThread, comm::Backend::kProcess}) {
+      for (const auto& [mode, name] : exact_modes) {
+        SCOPED_TRACE(std::string(case_name) + ", " +
+                     comm::backend_name(backend) + " backend, " + name +
+                     " mode");
+        params.comm_mode = mode;
+        expect_distributed_matches_serial(d, params, ranks, backend, serial);
       }
     }
   }

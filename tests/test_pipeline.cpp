@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "comm/launch.hpp"
 #include "common/error.hpp"
@@ -234,10 +236,11 @@ TEST(StagePartitionAssess, DistributedScoreEqualsSerial) {
     stage_merge_histograms(ctx, binned.hists, params, /*integral_counts=*/true);
     const auto kept = collapse_dimensions(ctx, binned.hists, params);
     ASSERT_FALSE(kept.empty());
-    auto candidate = stage_partition(ctx, binned.hists, kept,
-                                     std::vector<int>(kept.size(), 6), params);
+    auto candidates = stage_partition(
+        ctx, binned.hists, kept, {std::vector<int>(kept.size(), 6)}, params);
+    ASSERT_EQ(candidates.size(), 1u);
     const auto assessed =
-        stage_assess(ctx, binned.ws.keys, kept, candidate, params);
+        stage_assess(ctx, binned.ws.keys, kept, candidates[0], params);
     ASSERT_TRUE(assessed.scored);
     serial_score = assessed.score;
     serial_cells = assessed.cells.size();
@@ -254,10 +257,10 @@ TEST(StagePartitionAssess, DistributedScoreEqualsSerial) {
       stage_merge_histograms(ctx, binned.hists, params,
                              /*integral_counts=*/true);
       const auto kept = collapse_dimensions(ctx, binned.hists, params);
-      auto candidate = stage_partition(
-          ctx, binned.hists, kept, std::vector<int>(kept.size(), 6), params);
+      auto candidates = stage_partition(
+          ctx, binned.hists, kept, {std::vector<int>(kept.size(), 6)}, params);
       const auto assessed =
-          stage_assess(ctx, binned.ws.keys, kept, candidate, params);
+          stage_assess(ctx, binned.ws.keys, kept, candidates[0], params);
       EXPECT_EQ(assessed.scored, c.rank() == 0);
       if (c.rank() == 0) {
         EXPECT_NEAR(assessed.score, serial_score, 1e-9 * serial_score);
@@ -272,8 +275,137 @@ TEST(StagePartition, RejectsMismatchedDepths) {
   const auto points = test_points(100, 2, 51);
   const auto binned = bin_shard(ctx, points, 2, 6);
   EXPECT_THROW(
-      stage_partition(ctx, binned.hists, {0, 1}, {4}, Params{}),
+      stage_partition(ctx, binned.hists, {0, 1}, {{4, 4}, {4}}, Params{}),
       Error);
+  EXPECT_THROW(stage_partition(ctx, binned.hists, {0, 1}, {{0, 4}}, Params{}),
+               Error);
+  // A depth outside the hierarchy throws on every rank, not only on the
+  // candidate's owner and the root: none is left in the cut exchange.
+  comm::run_ranks(3, [&](comm::Communicator& c) {
+    c.set_timeout(10.0);
+    runtime::Context rctx(c, 1);
+    try {
+      (void)stage_partition(rctx, binned.hists, {0, 1}, {{4, 7}}, Params{});
+      ADD_FAILURE() << "rank " << c.rank() << " did not throw";
+    } catch (const comm::CommError& e) {
+      ADD_FAILURE() << "rank " << c.rank() << ": " << e.what();
+    } catch (const Error&) {
+    }
+  });
+}
+
+// ---- The partition stage's cut exchange: a round trip, and a typed error
+// for each field the decoder checks. Three candidates at depths 4, 5 and 6
+// over two kept dimensions; in a 2-rank group rank 1 owns candidates 0
+// and 2. ----
+
+std::vector<PartitionedCandidate> owned_candidates() {
+  std::vector<PartitionedCandidate> out;
+  for (const int depth : {4, 5, 6}) {
+    const std::size_t bins = std::size_t{1} << depth;
+    PartitionedCandidate c;
+    c.depths = {depth, depth};
+    c.partitions = {DimensionPartition{{bins / 4, bins / 2}, bins},
+                    DimensionPartition{{}, bins}};
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+std::vector<std::byte> encode_owned(
+    const std::vector<PartitionedCandidate>& candidates, int rank,
+    int ranks) {
+  ByteWriter w;
+  write_owned_cuts(w, candidates, rank, ranks);
+  return w.take();
+}
+
+std::vector<PartitionedCandidate> decode_owned(
+    std::span<const std::byte> bytes, int sender, int ranks) {
+  auto out = owned_candidates();
+  for (auto& c : out) c.partitions.clear();
+  ByteReader reader(bytes);
+  read_owned_cuts(reader, out, sender, ranks);
+  return out;
+}
+
+TEST(CutExchange, OwnedCutsRoundTrip) {
+  const auto sent = owned_candidates();
+  for (const int ranks : {1, 2, 3, 4}) {
+    for (int sender = 0; sender < ranks; ++sender) {
+      const auto got =
+          decode_owned(encode_owned(sent, sender, ranks), sender, ranks);
+      for (std::size_t k = 0; k < sent.size(); ++k) {
+        if (candidate_owner(k, ranks) != sender) {
+          EXPECT_TRUE(got[k].partitions.empty());
+          continue;
+        }
+        ASSERT_EQ(got[k].partitions.size(), 2u);
+        for (std::size_t i = 0; i < 2; ++i) {
+          EXPECT_EQ(got[k].partitions[i].bins, sent[k].partitions[i].bins);
+          EXPECT_EQ(got[k].partitions[i].cuts, sent[k].partitions[i].cuts);
+        }
+      }
+    }
+  }
+}
+
+TEST(CutExchange, EachCorruptFieldThrowsATypedError) {
+  const auto decode = [](std::span<const std::byte> bytes) {
+    (void)decode_owned(bytes, /*sender=*/1, /*ranks=*/2);
+  };
+  const auto encode = [](const std::vector<PartitionedCandidate>& c) {
+    return encode_owned(c, /*rank=*/1, /*ranks=*/2);
+  };
+  const auto good = encode(owned_candidates());
+  EXPECT_NO_THROW(decode(good));
+
+  // The candidate index: one rank 1 does not own, and out of range.
+  for (const std::uint64_t index : {std::uint64_t{1}, std::uint64_t{3},
+                                    std::uint64_t{1} << 40}) {
+    auto bytes = good;
+    std::memcpy(bytes.data(), &index, sizeof index);
+    EXPECT_THROW(decode(bytes), Error) << "index " << index;
+  }
+  // One partition per kept dimension.
+  {
+    auto c = owned_candidates();
+    c[2].partitions.pop_back();
+    EXPECT_THROW(decode(encode(c)), Error);
+    c = owned_candidates();
+    c[0].partitions.push_back(c[0].partitions[0]);
+    EXPECT_THROW(decode(encode(c)), Error);
+  }
+  // bins == 2^depth.
+  for (const std::size_t bins : {std::size_t{8}, std::size_t{32}}) {
+    auto c = owned_candidates();  // candidate 0 is at depth 4: 16 bins
+    c[0].partitions[1].bins = bins;
+    EXPECT_THROW(decode(encode(c)), Error) << bins << " bins";
+  }
+  // Cuts strictly ascending inside (0, bins).
+  for (const std::vector<std::size_t>& cuts :
+       {std::vector<std::size_t>{8, 4}, {4, 4}, {0, 4}, {4, 16}, {4, 99}}) {
+    auto c = owned_candidates();
+    c[0].partitions[0].cuts = cuts;
+    EXPECT_THROW(decode(encode(c)), Error)
+        << "cuts " << cuts[0] << ", " << cuts[1];
+  }
+  // Length prefixes that run past the blob, a cut short, a byte over.
+  {
+    auto bytes = good;
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    std::memcpy(bytes.data() + 8, &huge, sizeof huge);  // partition count
+    EXPECT_THROW(decode(bytes), Error);
+    bytes = good;
+    std::memcpy(bytes.data() + 24, &huge, sizeof huge);  // cut count
+    EXPECT_THROW(decode(bytes), Error);
+    bytes = good;
+    bytes.pop_back();
+    EXPECT_THROW(decode(bytes), Error);
+    bytes = good;
+    bytes.push_back(std::byte{0});
+    EXPECT_THROW(decode(bytes), Error);
+  }
 }
 
 TEST(StageShareModel, RootModelReachesEveryRank) {
