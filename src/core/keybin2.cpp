@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <string>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/fused.hpp"
 #include "core/pipeline.hpp"
 #include "core/projection.hpp"
@@ -16,24 +13,9 @@ namespace keybin2::core {
 
 namespace {
 
-/// The best candidate observed so far (root rank only).
-struct BestCandidate {
-  double score = -1.0;
-  int trial = -1;
-  std::vector<int> depths;  // one per kept dimension
-  Matrix projection;        // empty for identity
-  std::vector<int> kept_dims;
-  std::vector<Range> ranges;
-  std::vector<DimensionPartition> partitions;
-  std::vector<Cell> cells;
-};
-
 FitResult fit_once(runtime::Context& ctx, const Matrix& local_points,
                    const Params& params) {
-  KB2_CHECK_MSG(params.min_depth >= 1 && params.min_depth <= params.max_depth,
-                "invalid depth range [" << params.min_depth << ", "
-                                        << params.max_depth << "]");
-  KB2_CHECK_MSG(params.bootstrap_trials >= 1, "need at least one trial");
+  check_search_params(params);
 
   auto fit_scope = ctx.tracer().scope(stage::kFit);
   auto& comm = ctx.comm();
@@ -61,36 +43,8 @@ FitResult fit_once(runtime::Context& ctx, const Matrix& local_points,
                                       << " NaN or infinite values");
   KB2_CHECK_MSG(total_points > 0.0, "dataset has no points");
 
-  const bool is_root = ctx.is_root();
-  const int n_rp =
-      params.use_projection
-          ? (params.n_rp > 0 ? params.n_rp : choose_n_rp(global_dims))
-          : static_cast<int>(global_dims);
-  const int trials = params.use_projection ? params.bootstrap_trials : 1;
-
-  // Trial seeds are derived deterministically from params.seed, so every
-  // rank builds the identical projection matrix without communication.
-  Rng seed_stream(params.seed);
-  std::vector<std::uint64_t> trial_seeds;
-  trial_seeds.reserve(static_cast<std::size_t>(trials));
-  for (int t = 0; t < trials; ++t) trial_seeds.push_back(seed_stream.fork_seed());
-
-  // The trials' projection matrices are independent (each seeded by its own
-  // fork), so generate them in parallel up front; the per-trial loop then
-  // only pays the matmul. Empty matrices select the identity passthrough.
-  std::vector<Matrix> projections(static_cast<std::size_t>(trials));
-  if (params.use_projection) {
-    global_pool().parallel_for(
-        static_cast<std::size_t>(trials), [&](std::size_t b, std::size_t e) {
-          for (std::size_t t = b; t < e; ++t) {
-            projections[t] =
-                make_projection_matrix(global_dims, n_rp, trial_seeds[t]);
-          }
-        });
-  }
-
-  BestCandidate best;
-  std::vector<TrialDiagnostics> diagnostics;
+  const auto projections = trial_projections(params, global_dims);
+  ModelSearch search(ctx, params);
   // Merged-histogram density carried across trials for the kAuto comm mode:
   // trial 0 merges exactly, later trials may switch to the coreset plane
   // once the previous merge re-densified. All ranks derive it from the
@@ -101,18 +55,19 @@ FitResult fit_once(runtime::Context& ctx, const Matrix& local_points,
   // by the rest.
   FusedWorkspace ws;
 
-  for (int t = 0; t < trials; ++t) {
-    auto trial_scope =
-        ctx.tracer().scope(stage::trial(t));
-    auto& trial_projection = projections[static_cast<std::size_t>(t)];
+  for (std::size_t t = 0; t < projections.matrices.size(); ++t) {
+    auto trial_scope = ctx.tracer().scope(stage::trial(static_cast<int>(t)));
+    const Matrix& projection = projections.matrices[t];
 
     // (1) Project into a lower space, folding the range envelope into the
     // same traversal.
     const Matrix* projected;
     {
       auto scope = ctx.tracer().scope(stage::kProject);
-      projected = &fused_project_envelope(local_points, trial_projection,
-                                          static_cast<std::size_t>(n_rp), ws);
+      projected =
+          &fused_project_envelope(local_points, projection,
+                                  static_cast<std::size_t>(projections.n_rp),
+                                  ws);
     }
     // (2a) Agree on per-dimension key ranges [r_min, r_max].
     const auto ranges = stage_agree_ranges(ctx, ws.env_lo, ws.env_hi);
@@ -131,84 +86,14 @@ FitResult fit_once(runtime::Context& ctx, const Matrix& local_points,
     stage_merge_histograms(ctx, hists, params, /*integral_counts=*/true,
                            &merged_nnz);
 
-    // KS-based dimension collapsing.
-    const auto kept_dims = collapse_dimensions(ctx, hists, params);
-    // Every dimension collapsed: this projection sees no multimodal
-    // structure anywhere, i.e. a single cluster. Register a score-0
-    // single-cluster candidate (adopted only if no trial ever finds
-    // structure) and skip the depth sweep.
-    if (kept_dims.empty()) {
-      if (is_root) {
-        diagnostics.push_back(TrialDiagnostics{t, 0, 0, 1, 0.0});
-        if (best.trial < 0) {
-          best.score = 0.0;
-          best.trial = t;
-          best.projection = trial_projection;
-          best.ranges = ranges;
-        }
-      }
-      continue;
-    }
-
-    // (4) + (6) Partition every candidate once across the ranks, then rate
-    // each with the histogram-space CH index; the root tracks the best
-    // model. Classic mode sweeps one global depth over [min_depth,
-    // max_depth]; the per-dimension extension lets every kept dimension
-    // pick its own depth first, then evaluates that single combined
-    // candidate.
-    for (auto& candidate :
-         stage_partition(ctx, hists, kept_dims,
-                         depth_candidates(hists, kept_dims, params), params)) {
-      auto assessed = stage_assess(ctx, ws.keys, kept_dims, candidate, params);
-
-      if (assessed.scored) {
-        diagnostics.push_back(TrialDiagnostics{
-            t, *std::max_element(candidate.depths.begin(),
-                                 candidate.depths.end()),
-            static_cast<int>(kept_dims.size()),
-            static_cast<int>(assessed.cells.size()), assessed.score});
-        // The initial sentinel score is -1, so the first candidate is always
-        // adopted even when it scores 0 (a genuine one-cluster dataset).
-        if (assessed.score > best.score) {
-          best.score = assessed.score;
-          best.trial = t;
-          best.depths = candidate.depths;
-          best.projection = trial_projection;
-          best.kept_dims = kept_dims;
-          best.ranges = ranges;
-          best.partitions = std::move(candidate.partitions);
-          best.cells = std::move(assessed.cells);
-        }
-      }
-    }
+    // (4) + (6) KS collapsing, then the depth sweep over the local keys.
+    search.sweep(static_cast<int>(t), projection, ranges, hists,
+                 collapse_dimensions(ctx, hists, params), ws.keys);
   }
 
   // Root finalizes the model and broadcasts it; everyone labels locally (5).
-  std::optional<Model> root_model;
-  if (is_root) {
-    // The all-collapsed fallback has no kept dims, hence no depths.
-    if (best.depths.size() != best.kept_dims.size()) {
-      best.depths.assign(best.kept_dims.size(), params.min_depth);
-    }
-    root_model.emplace(global_dims, std::move(best.projection),
-                       std::move(best.depths), std::move(best.kept_dims),
-                       std::move(best.ranges), std::move(best.partitions),
-                       std::move(best.cells), best.score, total_points,
-                       params.min_cluster_fraction);
-  }
-
   FitResult result;
-  result.model = stage_share_model(
-      ctx, std::move(root_model),
-      [&](ByteWriter& writer) {
-        writer.write<std::uint64_t>(diagnostics.size());
-        for (const auto& d : diagnostics) writer.write(d);
-      },
-      [&](ByteReader& reader) {
-        const auto n_diag = reader.read<std::uint64_t>();
-        result.trials.resize(n_diag);
-        for (auto& d : result.trials) d = reader.read<TrialDiagnostics>();
-      });
+  result.model = search.finish(global_dims, total_points, &result.trials);
   {
     auto label_scope = ctx.tracer().scope(stage::kLabel);
     result.labels = result.model.predict(local_points);

@@ -14,6 +14,9 @@
 //   6. assess projected subspaces      (histogram-space Calinski–Harabasz,
 //                                       bootstrapped over t trials x depths)
 //
+// Steps 4 and 6, the winner and the model are core::ModelSearch
+// (core/pipeline.hpp), the search the streaming engine's refit runs too;
+// fit() owns only its point-count preamble and steps 1-3 of each trial.
 // A serial run is the same code over a single-rank SelfComm.
 #pragma once
 
@@ -23,24 +26,15 @@
 #include "common/matrix.hpp"
 #include "core/model.hpp"
 #include "core/params.hpp"
+#include "core/pipeline.hpp"  // TrialDiagnostics
 #include "runtime/context.hpp"
 
 namespace keybin2::core {
 
-/// Score of one (bootstrap trial, depth) candidate — kept for diagnostics
-/// and the ablation benches.
-struct TrialDiagnostics {
-  int trial = 0;
-  int depth = 0;
-  int kept_dims = 0;
-  int cells = 0;
-  double score = 0.0;
-};
-
 struct FitResult {
   std::vector<int> labels;  // one per local point
   Model model;
-  std::vector<TrialDiagnostics> trials;
+  std::vector<TrialDiagnostics> trials;  // every candidate the search rated
 
   int n_clusters() const { return model.n_clusters(); }
 };

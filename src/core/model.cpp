@@ -187,6 +187,9 @@ void Model::label_rows(const double* x, std::size_t rows, int* labels) const {
   }
 }
 
+// Ranges travel as raw (lo, hi) pairs: 16 bytes each after a u64 count.
+static_assert(sizeof(Range) == 2 * sizeof(double));
+
 void Model::serialize(ByteWriter& w) const {
   w.write<std::uint64_t>(input_dims_);
   w.write<std::uint64_t>(projection_.rows());
@@ -194,11 +197,7 @@ void Model::serialize(ByteWriter& w) const {
   w.write_span(projection_.flat());
   w.write_vec(depths_);
   w.write_vec(kept_dims_);
-  w.write<std::uint64_t>(ranges_.size());
-  for (const auto& r : ranges_) {
-    w.write(r.lo);
-    w.write(r.hi);
-  }
+  w.write_vec(ranges_);
   write_partitions(w, partitions_);
   w.write<std::uint64_t>(cells_.size());
   for (const auto& c : cells_) {
@@ -226,18 +225,20 @@ Model Model::deserialize(ByteReader& r) {
   }
   m.depths_ = r.read_vec<int>();
   m.kept_dims_ = r.read_vec<int>();
-  const auto n_ranges = r.read<std::uint64_t>();
-  m.ranges_.resize(n_ranges);
+  m.ranges_ = r.read_vec<Range>();
   for (std::size_t j = 0; j < m.ranges_.size(); ++j) {
-    auto& range = m.ranges_[j];
-    range.lo = r.read<double>();
-    range.hi = r.read<double>();
+    const auto& range = m.ranges_[j];
     KB2_CHECK_MSG(std::isfinite(range.lo) && std::isfinite(range.hi),
                   "model range " << j << " [" << range.lo << ", " << range.hi
                                  << "] is not finite");
   }
   m.partitions_ = read_partitions(r);
   const auto n_cells = r.read<std::uint64_t>();
+  // A cell takes at least its coord length, density and label: 20 bytes.
+  constexpr std::uint64_t kMinCellBytes = 8 + 8 + 4;
+  KB2_CHECK_MSG(n_cells <= r.remaining() / kMinCellBytes,
+                "model cell count " << n_cells << " exceeds the "
+                                    << r.remaining() << " bytes left");
   m.cells_.resize(n_cells);
   for (auto& c : m.cells_) {
     c.coord = r.read_vec<std::uint32_t>();

@@ -31,6 +31,38 @@ double single_dimension_score(const stats::Histogram& level,
   return histogram_calinski_harabasz({level}, {partition}, cells);
 }
 
+/// Per-dimension mode's one candidate, made from the uniform-depth
+/// candidates every rank already holds: each kept dimension takes the
+/// depth whose cuts score best on that dimension alone (the first maximum),
+/// with those cuts and, at the root, that level histogram.
+std::vector<PartitionedCandidate> per_dimension_candidate(
+    const std::vector<stats::HierarchicalHistogram>& hists,
+    const std::vector<int>& kept_dims,
+    std::vector<PartitionedCandidate> uniform) {
+  std::vector<PartitionedCandidate> out(1);
+  auto& chosen = out.front();
+  for (std::size_t i = 0; i < kept_dims.size(); ++i) {
+    const auto& h = hists[static_cast<std::size_t>(kept_dims[i])];
+    std::size_t best = 0;
+    double best_score = -1.0;
+    for (std::size_t k = 0; k < uniform.size(); ++k) {
+      const double s = single_dimension_score(h.level(uniform[k].depths[i]),
+                                              uniform[k].partitions[i]);
+      if (s > best_score) {
+        best_score = s;
+        best = k;
+      }
+    }
+    auto& c = uniform[best];
+    chosen.depths.push_back(c.depths[i]);
+    chosen.partitions.push_back(std::move(c.partitions[i]));
+    if (!c.dim_hists.empty()) {
+      chosen.dim_hists.push_back(std::move(c.dim_hists[i]));
+    }
+  }
+  return out;
+}
+
 /// Coarse depth for the coreset merge's exact calibration pass: level-6
 /// histograms are 64 bins per dimension — O(dims) doubles, negligible next
 /// to the sketch — and shipping them exactly pins every derived level at or
@@ -263,36 +295,6 @@ std::vector<int> collapse_dimensions(
   return kept_dims;
 }
 
-std::vector<std::vector<int>> depth_candidates(
-    const std::vector<stats::HierarchicalHistogram>& hists,
-    const std::vector<int>& kept_dims, const Params& params) {
-  std::vector<std::vector<int>> candidates;
-  if (params.per_dimension_depth) {
-    std::vector<int> chosen;
-    chosen.reserve(kept_dims.size());
-    for (int j : kept_dims) {
-      int best_depth = params.min_depth;
-      double best_dim_score = -1.0;
-      for (int depth = params.min_depth; depth <= params.max_depth; ++depth) {
-        const auto level = hists[static_cast<std::size_t>(j)].level(depth);
-        const auto part = partition(level.counts(), params);
-        const double s = single_dimension_score(level, part);
-        if (s > best_dim_score) {
-          best_dim_score = s;
-          best_depth = depth;
-        }
-      }
-      chosen.push_back(best_depth);
-    }
-    candidates.push_back(std::move(chosen));
-  } else {
-    for (int depth = params.min_depth; depth <= params.max_depth; ++depth) {
-      candidates.emplace_back(kept_dims.size(), depth);
-    }
-  }
-  return candidates;
-}
-
 int candidate_owner(std::size_t k, int ranks) {
   return ranks - 1 - static_cast<int>(k % static_cast<std::size_t>(ranks));
 }
@@ -428,22 +430,93 @@ AssessedCandidate stage_assess(runtime::Context& ctx, const KeyTable& keys,
 }
 
 Model stage_share_model(runtime::Context& ctx, std::optional<Model> root_model,
-                        const std::function<void(ByteWriter&)>& write_extra,
-                        const std::function<void(ByteReader&)>& read_extra) {
+                        std::vector<TrialDiagnostics>* diagnostics) {
   KB2_CHECK_MSG(root_model.has_value() == ctx.is_root(),
                 "stage_share_model: exactly the root supplies the model");
   auto scope = ctx.tracer().scope(stage::kShareModel);
   ByteWriter writer;
   if (root_model.has_value()) {
     root_model->serialize(writer);
-    if (write_extra) write_extra(writer);
+    if (diagnostics != nullptr) writer.write_vec(*diagnostics);
   }
   auto bytes = writer.take();
   ctx.comm().broadcast(bytes, /*root=*/0);
   ByteReader reader(bytes);
   Model model = Model::deserialize(reader);
-  if (read_extra) read_extra(reader);
+  if (diagnostics != nullptr) {
+    *diagnostics = reader.read_vec<TrialDiagnostics>();
+  }
   return model;
+}
+
+void check_search_params(const Params& params) {
+  KB2_CHECK_MSG(params.min_depth >= 1 && params.min_depth <= params.max_depth,
+                "invalid depth range [" << params.min_depth << ", "
+                                        << params.max_depth << "]");
+  KB2_CHECK_MSG(params.bootstrap_trials >= 1, "need at least one trial");
+}
+
+void ModelSearch::sweep(int trial, const Matrix& projection,
+                        const std::vector<Range>& ranges,
+                        const std::vector<stats::HierarchicalHistogram>& hists,
+                        const std::vector<int>& kept_dims, const KeyTable& keys,
+                        double weight_per_point) {
+  // One adoption rule: the first candidate to reach the maximum score.
+  // Scores are never negative, so the -1 sentinel adopts the first
+  // candidate even when it scores 0, and a collapsed trial only when
+  // nothing was adopted before.
+  if (kept_dims.empty()) {
+    // No multimodal structure under this projection: a single cluster.
+    if (ctx_.is_root()) {
+      diagnostics_.push_back(TrialDiagnostics{trial, 0, 0, 1, 0.0});
+      if (0.0 > best_.score) {
+        best_ = Best{0.0, projection, ranges, {}, {}, {}, {}};
+      }
+    }
+    return;
+  }
+  std::vector<std::vector<int>> depths;
+  for (int depth = params_.min_depth; depth <= params_.max_depth; ++depth) {
+    depths.emplace_back(kept_dims.size(), depth);
+  }
+  auto candidates =
+      stage_partition(ctx_, hists, kept_dims, std::move(depths), params_);
+  if (params_.per_dimension_depth) {
+    candidates =
+        per_dimension_candidate(hists, kept_dims, std::move(candidates));
+  }
+  for (auto& candidate : candidates) {
+    auto assessed = stage_assess(ctx_, keys, kept_dims, candidate, params_,
+                                 weight_per_point);
+    if (!assessed.scored) continue;
+    diagnostics_.push_back(TrialDiagnostics{
+        trial, *std::ranges::max_element(candidate.depths),
+        static_cast<int>(kept_dims.size()),
+        static_cast<int>(assessed.cells.size()), assessed.score});
+    if (assessed.score > best_.score) {
+      best_ = Best{assessed.score,
+                   projection,
+                   ranges,
+                   kept_dims,
+                   std::move(candidate.depths),
+                   std::move(candidate.partitions),
+                   std::move(assessed.cells)};
+    }
+  }
+}
+
+Model ModelSearch::finish(std::size_t input_dims, double total_points,
+                          std::vector<TrialDiagnostics>* diagnostics) {
+  std::optional<Model> root_model;
+  if (ctx_.is_root()) {
+    root_model.emplace(input_dims, std::move(best_.projection),
+                       std::move(best_.depths), std::move(best_.kept_dims),
+                       std::move(best_.ranges), std::move(best_.partitions),
+                       std::move(best_.cells), best_.score, total_points,
+                       params_.min_cluster_fraction);
+  }
+  if (diagnostics != nullptr) *diagnostics = std::move(diagnostics_);
+  return stage_share_model(ctx_, std::move(root_model), diagnostics);
 }
 
 void run_with_recovery(runtime::Context& ctx, const Params& params,

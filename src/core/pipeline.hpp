@@ -5,13 +5,14 @@
 //   project -> agree-ranges -> key/bin -> merge-histograms -> partition
 //           -> assess
 //
-// Batch fit(), the streaming engine's refit(), the out-of-core driver, and
-// the md::insitu analyzer all used to carry their own copy of this sequence;
-// they now compose the stage functions below, each of which opens a tracer
-// scope on the supplied runtime::Context (paths like "fit/trial0/bin") so
-// wall time and communication volume are attributable per stage. Batch
-// fit's project and key/bin stages are the fused kernels (core/fused.hpp),
-// run under the kProject and kBin scopes.
+// Batch fit() and the streaming engine's refit() compose the stage
+// functions below (out-of-core and md::insitu reach them through refit())
+// and hand each trial to one ModelSearch, which owns the depth sweep, the
+// winner and the model. Each stage opens a tracer scope on the supplied
+// runtime::Context (paths like "fit/trial0/bin") so wall time and
+// communication volume are attributable per stage. Batch fit's project and
+// key/bin stages are the fused kernels (core/fused.hpp), run under the
+// kProject and kBin scopes.
 //
 // Collective discipline: stages marked [collective] must be entered by every
 // rank of the context's communicator in the same order (SPMD), exactly like
@@ -119,14 +120,6 @@ std::vector<int> collapse_dimensions(
     const std::vector<stats::HierarchicalHistogram>& hists,
     const Params& params);
 
-/// Depth candidates for the partition sweep: classic mode yields one
-/// uniform-depth vector per depth in [min_depth, max_depth]; the
-/// per-dimension extension yields the single combined candidate where every
-/// kept dimension picked its own depth by 1-D histogram-space CH.
-std::vector<std::vector<int>> depth_candidates(
-    const std::vector<stats::HierarchicalHistogram>& hists,
-    const std::vector<int>& kept_dims, const Params& params);
-
 /// Stage 5 output: one depth candidate's partitions. Every rank holds the
 /// depths and partitions; `dim_hists` (the kept dimensions' merged
 /// histograms at the candidate's depths) only the root, which scores.
@@ -191,14 +184,70 @@ AssessedCandidate stage_assess(runtime::Context& ctx, const KeyTable& keys,
                                const Params& params,
                                double weight_per_point = 1.0);
 
-/// Final stage [collective]: root serializes the winning model (plus any
-/// driver extras via `write_extra`), broadcasts it, and every rank returns
-/// the deserialized copy. `read_extra` runs on every rank after the model
-/// bytes.
-Model stage_share_model(
-    runtime::Context& ctx, std::optional<Model> root_model,
-    const std::function<void(ByteWriter&)>& write_extra = {},
-    const std::function<void(ByteReader&)>& read_extra = {});
+/// Score of one (bootstrap trial, depth) candidate — kept for diagnostics
+/// and the ablation benches. A trial whose every dimension collapsed is one
+/// entry {trial, 0, 0, 1, 0.0}.
+struct TrialDiagnostics {
+  int trial = 0;
+  int depth = 0;
+  int kept_dims = 0;
+  int cells = 0;
+  double score = 0.0;
+};
+
+/// Final stage [collective]: root serializes the winning model, broadcasts
+/// it, and every rank returns the deserialized copy. With `diagnostics`,
+/// the root's entries follow the model bytes and replace every rank's.
+Model stage_share_model(runtime::Context& ctx, std::optional<Model> root_model,
+                        std::vector<TrialDiagnostics>* diagnostics = nullptr);
+
+/// The Params every driver checks before any work: 1 <= min_depth <=
+/// max_depth and at least one bootstrap trial. Throws keybin2::Error.
+void check_search_params(const Params& params);
+
+/// The model search (paper §3.3) [collective]: bootstrap trials x depth
+/// candidates, each rated by the histogram-space CH index, the best kept.
+/// Each driver makes a trial's merged histograms and keys its own way and
+/// hands the trial to sweep(); finish() builds and shares the model.
+class ModelSearch {
+ public:
+  ModelSearch(runtime::Context& ctx, const Params& params)
+      : ctx_(ctx), params_(params) {}
+
+  /// [collective] With no `kept_dims` (collapse_dimensions' output) the
+  /// trial is a score-0 one-cluster candidate, adopted only if nothing was
+  /// adopted before. Otherwise stage_partition cuts one candidate per depth
+  /// in [min_depth, max_depth] (per-dimension mode combines them into one:
+  /// each kept dimension takes the depth whose cuts score best on it
+  /// alone), stage_assess scores each over `keys`, and the root adopts the
+  /// first to reach the maximum score.
+  void sweep(int trial, const Matrix& projection,
+             const std::vector<Range>& ranges,
+             const std::vector<stats::HierarchicalHistogram>& hists,
+             const std::vector<int>& kept_dims, const KeyTable& keys,
+             double weight_per_point = 1.0);
+
+  /// [collective] The root builds the adopted candidate's Model, and
+  /// stage_share_model hands it, with `diagnostics` if given, to every rank.
+  Model finish(std::size_t input_dims, double total_points,
+               std::vector<TrialDiagnostics>* diagnostics = nullptr);
+
+ private:
+  struct Best {  // root only; score -1 until a candidate is adopted
+    double score = -1.0;
+    Matrix projection;  // empty for identity
+    std::vector<Range> ranges;
+    std::vector<int> kept_dims;
+    std::vector<int> depths;  // one per kept dimension
+    std::vector<DimensionPartition> partitions;
+    std::vector<Cell> cells;
+  };
+
+  runtime::Context& ctx_;
+  const Params& params_;
+  Best best_;
+  std::vector<TrialDiagnostics> diagnostics_;  // root only
+};
 
 /// The recovery loop of fit() and refit() [collective] (DESIGN.md §7): run
 /// `attempt` under params.comm_timeout_seconds, and after a recoverable

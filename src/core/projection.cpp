@@ -35,6 +35,28 @@ Matrix make_projection_matrix(std::size_t input_dims, int n_rp,
   return a;
 }
 
+TrialProjections trial_projections(const Params& params,
+                                   std::size_t input_dims) {
+  TrialProjections set;
+  if (!params.use_projection) {
+    set.n_rp = static_cast<int>(input_dims);
+    set.matrices.resize(1);
+    return set;
+  }
+  set.n_rp = params.n_rp > 0 ? params.n_rp : choose_n_rp(input_dims);
+  Rng seed_stream(params.seed);
+  std::vector<std::uint64_t> seeds(
+      static_cast<std::size_t>(params.bootstrap_trials));
+  for (auto& seed : seeds) seed = seed_stream.fork_seed();
+  set.matrices.resize(seeds.size());
+  global_pool().parallel_for(seeds.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t t = b; t < e; ++t) {
+      set.matrices[t] = make_projection_matrix(input_dims, set.n_rp, seeds[t]);
+    }
+  });
+  return set;
+}
+
 Matrix project(const Matrix& points, const Matrix& a) {
   KB2_CHECK_MSG(points.cols() == a.rows(),
                 "projection shape mismatch: " << points.cols() << " vs "

@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/matrix.hpp"
+#include "core/params.hpp"
 
 namespace keybin2::core {
 
@@ -23,6 +25,17 @@ int choose_n_rp(std::size_t input_dims);
 /// length. Deterministic in `seed`.
 Matrix make_projection_matrix(std::size_t input_dims, int n_rp,
                               std::uint64_t seed);
+
+/// The bootstrap trials' projections, identical on every rank: trial t's
+/// input_dims x n_rp matrix (n_rp = Params::n_rp, or choose_n_rp when 0)
+/// is seeded by the t-th fork of Params::seed, generated on the pool.
+/// Without projection: one empty (identity) matrix, n_rp = input_dims.
+struct TrialProjections {
+  int n_rp = 0;
+  std::vector<Matrix> matrices;  // one per trial
+};
+TrialProjections trial_projections(const Params& params,
+                                   std::size_t input_dims);
 
 /// X' = X A, parallelized over rows via the global thread pool.
 Matrix project(const Matrix& points, const Matrix& a);

@@ -26,23 +26,18 @@ StreamingKeyBin2::StreamingKeyBin2(std::size_t input_dims, Params params,
                                    std::size_t reservoir_capacity)
     : input_dims_(input_dims),
       params_(params),
-      n_rp_(params.use_projection
-                ? (params.n_rp > 0 ? params.n_rp : choose_n_rp(input_dims))
-                : static_cast<int>(input_dims)),
       reservoir_capacity_(reservoir_capacity),
       reservoir_rng_(params.seed ^ 0x5eedbeefULL) {
   KB2_CHECK_MSG(input_dims >= 1, "stream schema needs >= 1 dimension");
   KB2_CHECK_MSG(reservoir_capacity >= 16,
                 "reservoir capacity " << reservoir_capacity << " too small");
-  KB2_CHECK_MSG(params_.bootstrap_trials >= 1, "need at least one trial");
-  const int trials = params_.use_projection ? params_.bootstrap_trials : 1;
-  Rng seed_stream(params_.seed);
-  trials_.resize(static_cast<std::size_t>(trials));
-  for (auto& trial : trials_) {
-    if (params_.use_projection) {
-      trial.projection =
-          make_projection_matrix(input_dims, n_rp_, seed_stream.fork_seed());
-    }
+  check_search_params(params_);
+  auto projections = trial_projections(params_, input_dims);
+  n_rp_ = projections.n_rp;
+  trials_.resize(projections.matrices.size());
+  for (std::size_t t = 0; t < trials_.size(); ++t) {
+    auto& trial = trials_[t];
+    trial.projection = std::move(projections.matrices[t]);
     trial.anchored.assign(static_cast<std::size_t>(n_rp_), false);
     trial.hists.resize(static_cast<std::size_t>(n_rp_));
     trial.seen_lo.assign(static_cast<std::size_t>(n_rp_),
@@ -142,7 +137,6 @@ void StreamingKeyBin2::push_batch(const Matrix& batch) {
 
 const Model& StreamingKeyBin2::refit_once(runtime::Context& ctx) {
   auto refit_scope = ctx.tracer().scope(stage::kRefit);
-  const bool is_root = ctx.is_root();
   const double total_points = ctx.comm().allreduce(
       static_cast<double>(points_seen_), comm::ReduceOp::kSum);
   KB2_CHECK_MSG(total_points > 0.0, "refit before any point was pushed");
@@ -152,20 +146,11 @@ const Model& StreamingKeyBin2::refit_once(runtime::Context& ctx) {
                             static_cast<double>(sample_rows)
                       : 0.0;
 
-  struct Best {
-    double score = -1.0;
-    std::vector<int> depths;  // one per kept dimension
-    Matrix projection;
-    std::vector<int> kept_dims;
-    std::vector<Range> ranges;
-    std::vector<DimensionPartition> partitions;
-    std::vector<Cell> cells;
-  } best;
-
+  ModelSearch search(ctx, params_);
   const auto dims = static_cast<std::size_t>(n_rp_);
   for (std::size_t t = 0; t < trials_.size(); ++t) {
     auto& trial = trials_[t];
-    auto trial_scope = ctx.tracer().scope(stage::trial(t));
+    auto trial_scope = ctx.tracer().scope(stage::trial(static_cast<int>(t)));
 
     // (2a) Reconcile per-dimension ranges across ranks onto the tight global
     // envelope of observed values (same stage as batch fit, fed from the
@@ -201,60 +186,22 @@ const Model& StreamingKeyBin2::refit_once(runtime::Context& ctx) {
     // so every exact mode keeps the fixed tree (or ring) order.
     stage_merge_histograms(ctx, merged, params_, /*integral_counts=*/false);
 
-    // KS collapsing, as in batch fit.
+    // KS collapsing, as in batch fit. Only a trial that keeps a dimension
+    // keys its reservoir: push() already projected the rows into this
+    // trial's space.
     const auto kept_dims = collapse_dimensions(ctx, merged, params_);
-    // No structure under this projection: single-cluster fallback candidate.
-    if (kept_dims.empty()) {
-      if (is_root && best.score < 0.0) {
-        best.score = 0.0;
-        best.projection = trial.projection;
-        best.ranges = ranges;
-      }
-      continue;
-    }
-
-    // Reservoir keys under the merged ranges; push() already projected
-    // the rows into this trial's space.
     KeyTable keys;
-    {
+    if (!kept_dims.empty()) {
       auto keys_scope = ctx.tracer().scope(stage::kReservoirKeys);
       fused_keys(trial.reservoir, ranges, params_.max_depth, keys);
     }
 
-    // (4) + (6) Partition every depth candidate once across the ranks and
-    // rate it; the root tracks the best model, with reservoir counts scaled
-    // to stream mass.
-    for (auto& candidate :
-         stage_partition(ctx, merged, kept_dims,
-                         depth_candidates(merged, kept_dims, params_),
-                         params_)) {
-      auto assessed = stage_assess(ctx, keys, kept_dims, candidate, params_,
-                                   local_weight);
-      if (assessed.scored && assessed.score > best.score) {
-        best.score = assessed.score;
-        best.depths = candidate.depths;
-        best.projection = trial.projection;
-        best.kept_dims = kept_dims;
-        best.ranges = ranges;
-        best.partitions = std::move(candidate.partitions);
-        best.cells = std::move(assessed.cells);
-      }
-    }
+    // (4) + (6) The depth sweep, with reservoir counts scaled to stream
+    // mass.
+    search.sweep(static_cast<int>(t), trial.projection, ranges, merged,
+                 kept_dims, keys, local_weight);
   }
-
-  std::optional<Model> root_model;
-  if (is_root) {
-    // The all-collapsed fallback has no kept dims, hence no depths.
-    if (best.depths.size() != best.kept_dims.size()) {
-      best.depths.assign(best.kept_dims.size(), params_.min_depth);
-    }
-    root_model.emplace(input_dims_, std::move(best.projection),
-                       std::move(best.depths), std::move(best.kept_dims),
-                       std::move(best.ranges), std::move(best.partitions),
-                       std::move(best.cells), best.score, total_points,
-                       params_.min_cluster_fraction);
-  }
-  model_ = stage_share_model(ctx, std::move(root_model));
+  model_ = search.finish(input_dims_, total_points);
   return *model_;
 }
 

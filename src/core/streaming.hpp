@@ -46,7 +46,8 @@ namespace keybin2::core {
 
 class StreamingKeyBin2 {
  public:
-  /// `input_dims` must be known up front (stream schema).
+  /// `input_dims` must be known up front (stream schema). Params are
+  /// checked and the trials projected as in batch fit.
   explicit StreamingKeyBin2(std::size_t input_dims, Params params = {},
                             std::size_t reservoir_capacity = 4096);
 
@@ -63,14 +64,15 @@ class StreamingKeyBin2 {
 
   /// Rebuild the model from current histograms, merging state across the
   /// ranks of the context's communicator (every rank must call refit in
-  /// step). Executes through the shared core/pipeline stages, whose merge
-  /// and assess follow Params::comm_mode as in batch fit (the fractional
-  /// counts keep every exact mode on the fixed tree or ring); the context's
-  /// tracer accumulates per-stage time and traffic under
-  /// "refit/trial{t}/{stage}" scopes. Recoverable comm failures restart the
-  /// refit up to Params::max_shrink_retries times, shrinking to the
-  /// survivors after a rank death (same recovery loop as core::fit; the
-  /// re-run's rebinning pass is mass-conserving, so retrying is safe).
+  /// step). Executes through the shared core/pipeline stages and batch
+  /// fit's ModelSearch; merge and assess follow Params::comm_mode as in
+  /// batch fit (the fractional counts keep every exact mode on the fixed
+  /// tree or ring); the context's tracer accumulates per-stage time and
+  /// traffic under "refit/trial{t}/{stage}" scopes. Recoverable comm
+  /// failures restart the refit up to Params::max_shrink_retries times,
+  /// shrinking to the survivors after a rank death (same recovery loop as
+  /// core::fit; the re-run's rebinning pass is mass-conserving, so retrying
+  /// is safe).
   const Model& refit(runtime::Context& ctx);
 
   /// Convenience: refit over a bare communicator (a fresh Context is built
@@ -139,7 +141,7 @@ class StreamingKeyBin2 {
 
   std::size_t input_dims_;
   Params params_;
-  int n_rp_;
+  int n_rp_ = 0;
   std::vector<TrialState> trials_;
   std::uint64_t points_seen_ = 0;
 

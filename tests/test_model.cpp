@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "core/projection.hpp"
 
 namespace keybin2::core {
@@ -337,6 +338,39 @@ TEST(Model, DeserializeRejectsNonFiniteRangeBounds) {
     EXPECT_NE(deserialize_error(model_bytes({0}, {0}, {}, bad)).find("range"),
               std::string::npos)
         << bad.lo << ", " << bad.hi;
+  }
+}
+
+TEST(Model, DeserializeRejectsCountsBeyondThePayload) {
+  // Valid bytes up to a range count, or up to a cell count, that no payload
+  // of this size can hold: each must throw before anything is allocated.
+  const auto truncated_at = [](bool ranges, std::uint64_t count) {
+    ByteWriter w;
+    w.write<std::uint64_t>(1);  // input dims
+    w.write<std::uint64_t>(0);  // no projection
+    w.write<std::uint64_t>(0);
+    w.write_vec(std::vector<double>{});
+    w.write_vec(std::vector<int>{});  // depths
+    w.write_vec(std::vector<int>{});  // kept dims
+    if (ranges) {
+      w.write<std::uint64_t>(count);
+    } else {
+      w.write_vec(std::vector<Range>{Range{0.0, 1.0}});
+      write_partitions(w, {});
+      w.write<std::uint64_t>(count);
+    }
+    w.write(0.0);  // score
+    w.write<std::int32_t>(1);
+    return w.take();
+  };
+  for (const std::uint64_t count : {std::uint64_t{1} << 60,
+                                    std::uint64_t{1} << 34}) {
+    for (const bool ranges : {true, false}) {
+      const auto bytes = truncated_at(ranges, count);
+      ByteReader r(bytes);
+      EXPECT_THROW(Model::deserialize(r), Error)
+          << (ranges ? "range" : "cell") << " count " << count;
+    }
   }
 }
 

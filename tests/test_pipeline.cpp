@@ -9,8 +9,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <optional>
 #include <span>
+#include <string>
 
 #include "comm/launch.hpp"
 #include "common/error.hpp"
@@ -666,22 +668,52 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(comm::backend_name(info.param));
     });
 
+/// Every scope path `ctx` traced, with its call count.
+std::map<std::string, std::uint64_t> scope_calls(runtime::Context& ctx) {
+  std::map<std::string, std::uint64_t> calls;
+  for (const auto& [path, entry] : ctx.tracer().entries()) {
+    calls[path] = entry.calls;
+  }
+  return calls;
+}
+
 TEST(Trace, FitScopesFollowNamingConvention) {
+  // The layout is pinned whole: trace consumers match on these paths, and
+  // perfbench counts candidates from the ".../trial<N>/assess" call counts
+  // (one per depth in [3, 7]).
   const auto spec = data::make_paper_mixture(8, 2, 501);
   const auto d = data::sample(spec, 600, 502);
-  runtime::Context ctx(42);
   Params params;
   params.bootstrap_trials = 2;
-  (void)fit(ctx, d.points, params);
-  const auto& entries = ctx.tracer().entries();
-  EXPECT_EQ(entries.count("fit"), 1u);
-  EXPECT_EQ(entries.count("fit/label"), 1u);
-  EXPECT_EQ(entries.count("fit/share_model"), 1u);
-  EXPECT_EQ(entries.count("fit/trial0/project"), 1u);
-  EXPECT_EQ(entries.count("fit/trial0/agree_ranges"), 1u);
-  EXPECT_EQ(entries.count("fit/trial0/bin"), 1u);
-  EXPECT_EQ(entries.count("fit/trial0/merge_histograms"), 1u);
-  EXPECT_EQ(entries.count("fit/trial1/project"), 1u);
+  const auto layout = [](const std::string& driver,
+                         const std::vector<std::string>& stages) {
+    std::map<std::string, std::uint64_t> calls{{driver, 1},
+                                               {driver + "/share_model", 1}};
+    for (const std::string trial : {"trial0", "trial1"}) {
+      calls[driver + "/" + trial] = 1;
+      for (const auto& s : stages) {
+        calls[driver + "/" + trial + "/" + s] = s == "assess" ? 5 : 1;
+      }
+    }
+    return calls;
+  };
+
+  runtime::Context fit_ctx(42);
+  (void)fit(fit_ctx, d.points, params);
+  auto fit_layout = layout("fit", {"project", "agree_ranges", "bin",
+                                   "merge_histograms", "collapse",
+                                   "partition", "assess"});
+  fit_layout["fit/label"] = 1;
+  EXPECT_EQ(scope_calls(fit_ctx), fit_layout);
+
+  StreamingKeyBin2 engine(8, params);
+  engine.push_batch(d.points);
+  runtime::Context refit_ctx(42);
+  engine.refit(refit_ctx);
+  EXPECT_EQ(scope_calls(refit_ctx),
+            layout("refit", {"agree_ranges", "rebin", "merge_histograms",
+                             "collapse", "reservoir_keys", "partition",
+                             "assess"}));
 }
 
 TEST(Trace, ScopedTrafficSumMatchesCommunicatorTotals) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "comm/launch.hpp"
@@ -170,6 +171,38 @@ TEST(Streaming, SingleClusterStreamStaysSingle) {
   s.push_batch(d.points);
   s.refit();
   EXPECT_LE(s.model().n_clusters(), 2);
+
+  // Every trial collapses (no KS statistic reaches 2.0), so the refit keeps
+  // its first collapsed trial: every rank gets the same one-cluster,
+  // score-0 model with no kept dimension.
+  Params all_collapse;
+  all_collapse.collapse_threshold = 2.0;
+  for (const auto backend : {comm::Backend::kThread, comm::Backend::kProcess}) {
+    for (const int ranks : {1, 2}) {
+      SCOPED_TRACE(std::string(comm::backend_name(backend)) + " backend, " +
+                   std::to_string(ranks) + " ranks");
+      const auto shards = data::shard(d, ranks);
+      comm::LaunchOptions options;
+      options.backend = backend;
+      const auto blobs = comm::run_ranks_collect_bytes(
+          options, ranks, [&](comm::Communicator& c) {
+            const auto r = static_cast<std::size_t>(c.rank());
+            StreamingKeyBin2 engine(6, all_collapse);
+            engine.push_batch(shards[r].points);
+            ByteWriter w;
+            engine.refit(c).serialize(w);
+            return w.take();
+          });
+      for (const auto& blob : blobs) {
+        EXPECT_EQ(blob, blobs.front());
+        ByteReader r(blob);
+        const auto model = Model::deserialize(r);
+        EXPECT_EQ(model.n_clusters(), 1);
+        EXPECT_EQ(model.score(), 0.0);
+        EXPECT_TRUE(model.kept_dims().empty());
+      }
+    }
+  }
 }
 
 TEST(Streaming, ReservoirCapacityIsValidated) {
@@ -181,6 +214,14 @@ TEST(Streaming, ConstructorRejectsZeroTrials) {
   Params no_trials;
   no_trials.bootstrap_trials = 0;
   EXPECT_THROW(StreamingKeyBin2(3, no_trials), Error);
+  // Batch fit's depth-range check, at construction rather than in a refit.
+  Params inverted;
+  inverted.min_depth = 6;
+  inverted.max_depth = 5;
+  EXPECT_THROW(StreamingKeyBin2(3, inverted), Error);
+  Params depth_zero;
+  depth_zero.min_depth = 0;
+  EXPECT_THROW(StreamingKeyBin2(3, depth_zero), Error);
 }
 
 std::vector<std::byte> engine_bytes(const StreamingKeyBin2& e) {
