@@ -287,9 +287,9 @@ class Reporter {
   };
 
   /// Machine provenance so a committed baseline records where its numbers
-  /// came from. The perf gate compares options, not machines — but a FAIL
-  /// against a baseline from different hardware is diagnosable from this
-  /// block instead of a mystery.
+  /// came from. The perf gate refuses a baseline whose
+  /// hardware_concurrency differs from the report's; the rest of the block
+  /// makes any other FAIL against different hardware diagnosable.
   static void emit_machine(runtime::JsonWriter& w) {
     w.key("machine").begin_object();
     w.key("hardware_concurrency")

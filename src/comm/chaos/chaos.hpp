@@ -44,8 +44,8 @@ struct ChaosSchedule {
   double delay_ms = 0.0;
 
   /// Checkpoint plan: when >= 0, the soak driver damages the run's
-  /// checkpoint file with core::CheckpointCorruption(corrupt_checkpoint)
-  /// before the restore phase.
+  /// checkpoint file with ContainerCorruption(corrupt_checkpoint) before
+  /// the restore phase.
   int corrupt_checkpoint = -1;
 
   /// The FaultSchedule rank `rank` should wrap its endpoint in, given that

@@ -3,8 +3,9 @@
 // Used as an end-to-end integrity check on (a) every framed inter-rank
 // message — bounds checks catch truncation, but zero-fill or bit-flip
 // corruption can keep every length prefix plausible, so frames carry a
-// checksum — and (b) the checkpoint file container, so a torn or bit-rotted
-// checkpoint is rejected instead of resuming from garbage state.
+// checksum — and (b) the file container checkpoints and flight dumps share
+// (common/container.hpp), so a torn or bit-rotted file is rejected instead
+// of resuming from garbage state.
 #pragma once
 
 #include <array>

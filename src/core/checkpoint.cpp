@@ -1,117 +1,20 @@
 #include "core/checkpoint.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include "common/crc32.hpp"
-#include "common/error.hpp"
-#include "common/serialize.hpp"
+#include <exception>
 
 namespace keybin2::core {
-
-namespace {
-
-[[noreturn]] void throw_defect(const std::string& path,
-                               const std::string& defect,
-                               const std::string& detail) {
-  std::ostringstream os;
-  os << "checkpoint " << path << " " << detail;
-  throw CheckpointError(os.str(), path, defect);
-}
-
-}  // namespace
-
-void write_checkpoint_file(const std::string& path,
-                           std::span<const std::byte> payload) {
-  ByteWriter header;
-  header.write<std::uint64_t>(kCheckpointMagic);
-  header.write<std::uint32_t>(kCheckpointVersion);
-  header.write<std::uint64_t>(static_cast<std::uint64_t>(payload.size()));
-  header.write<std::uint32_t>(crc32(payload));
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    KB2_CHECK_MSG(out.is_open(), "cannot open checkpoint file " << tmp
-                                                                << " for writing");
-    out.write(reinterpret_cast<const char*>(header.bytes().data()),
-              static_cast<std::streamsize>(header.bytes().size()));
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    KB2_CHECK_MSG(out.good(), "short write to checkpoint file " << tmp);
-  }
-  // Keep one generation of history: the checkpoint being replaced becomes
-  // ".prev", so corruption of the new primary (partial disk death, a stray
-  // writer) still leaves a valid restore point. Failure to demote is not
-  // fatal — the primary write is what matters.
-  std::rename(path.c_str(), (path + ".prev").c_str());
-  KB2_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "cannot move checkpoint " << tmp << " into place at " << path);
-}
-
-std::vector<std::byte> read_checkpoint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) throw_defect(path, "missing", "cannot be opened");
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  if (raw.size() < kCheckpointHeaderBytes) {
-    std::ostringstream os;
-    os << "truncated: " << raw.size() << " bytes, header alone needs "
-       << kCheckpointHeaderBytes;
-    throw_defect(path, "truncated", os.str());
-  }
-
-  ByteReader r(std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(raw.data()), raw.size()));
-  const auto magic = r.read<std::uint64_t>();
-  if (magic != kCheckpointMagic) {
-    throw_defect(path, "bad_magic", "has bad magic (not a KB2CKPT file)");
-  }
-  const auto version = r.read<std::uint32_t>();
-  if (version != kCheckpointVersion) {
-    std::ostringstream os;
-    os << "has version " << version << ", this build reads version "
-       << kCheckpointVersion;
-    throw_defect(path, "version_skew", os.str());
-  }
-  const auto payload_size = r.read<std::uint64_t>();
-  if (payload_size != raw.size() - kCheckpointHeaderBytes) {
-    std::ostringstream os;
-    os << "truncated: header promises " << payload_size
-       << " payload bytes, file holds "
-       << raw.size() - kCheckpointHeaderBytes;
-    throw_defect(path, "truncated", os.str());
-  }
-  const auto expected_crc = r.read<std::uint32_t>();
-
-  std::vector<std::byte> payload(static_cast<std::size_t>(payload_size));
-  std::memcpy(payload.data(), raw.data() + kCheckpointHeaderBytes,
-              payload.size());
-  const auto actual_crc = crc32(payload);
-  if (actual_crc != expected_crc) {
-    std::ostringstream os;
-    os << "failed its CRC32 integrity check (stored " << expected_crc
-       << ", computed " << actual_crc << ")";
-    throw_defect(path, "crc_mismatch", os.str());
-  }
-  return payload;
-}
 
 std::vector<std::byte> read_checkpoint_file_or_previous(
     const std::string& path, bool* used_previous) {
   if (used_previous != nullptr) *used_previous = false;
   std::exception_ptr primary;
   try {
-    return read_checkpoint_file(path);
+    return kCheckpointFile.read(path);
   } catch (const CheckpointError&) {
     primary = std::current_exception();
   }
   try {
-    auto payload = read_checkpoint_file(path + ".prev");
+    auto payload = kCheckpointFile.read(path + ".prev");
     if (used_previous != nullptr) *used_previous = true;
     return payload;
   } catch (const CheckpointError&) {
@@ -119,57 +22,6 @@ std::vector<std::byte> read_checkpoint_file_or_previous(
     // the caller actually asked for.
     std::rethrow_exception(primary);
   }
-}
-
-void corrupt_checkpoint_file(const std::string& path,
-                             CheckpointCorruption mode, std::uint64_t seed) {
-  std::vector<char> raw;
-  {
-    std::ifstream in(path, std::ios::binary);
-    KB2_CHECK_MSG(in.is_open(), "cannot open checkpoint " << path
-                                                          << " to corrupt");
-    raw.assign((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-  }
-  const std::size_t payload_bytes =
-      raw.size() > kCheckpointHeaderBytes ? raw.size() - kCheckpointHeaderBytes
-                                          : 0;
-  switch (mode) {
-    case CheckpointCorruption::kTruncateHeader:
-      raw.resize(raw.size() < kCheckpointHeaderBytes ? raw.size() / 2
-                                                     : kCheckpointHeaderBytes /
-                                                           2);
-      break;
-    case CheckpointCorruption::kTruncatePayload:
-      KB2_CHECK_MSG(payload_bytes > 0,
-                    "checkpoint " << path << " has no payload to truncate");
-      raw.resize(kCheckpointHeaderBytes + payload_bytes / 2);
-      break;
-    case CheckpointCorruption::kZeroSpan: {
-      KB2_CHECK_MSG(payload_bytes > 0,
-                    "checkpoint " << path << " has no payload to zero");
-      const std::size_t at = kCheckpointHeaderBytes + seed % payload_bytes;
-      const std::size_t len = std::min<std::size_t>(16, raw.size() - at);
-      std::memset(raw.data() + at, 0, len);
-      break;
-    }
-    case CheckpointCorruption::kFlipBit: {
-      KB2_CHECK_MSG(payload_bytes > 0,
-                    "checkpoint " << path << " has no payload to flip");
-      const std::size_t at = kCheckpointHeaderBytes + seed % payload_bytes;
-      raw[at] = static_cast<char>(raw[at] ^ (1 << (seed % 8)));
-      break;
-    }
-    case CheckpointCorruption::kBadMagic:
-      KB2_CHECK_MSG(raw.size() >= 8, "checkpoint " << path << " too short");
-      std::memset(raw.data(), 0x5a, 8);
-      break;
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  KB2_CHECK_MSG(out.is_open(), "cannot rewrite checkpoint " << path);
-  out.write(raw.data(), static_cast<std::streamsize>(raw.size()));
-  out.flush();
-  KB2_CHECK_MSG(out.good(), "short write while corrupting " << path);
 }
 
 }  // namespace keybin2::core

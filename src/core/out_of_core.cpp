@@ -9,62 +9,23 @@
 #include "core/checkpoint.hpp"
 #include "core/pipeline.hpp"
 #include "core/streaming.hpp"
+#include "data/io.hpp"
 
 namespace keybin2::core {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x4b42324453ULL;  // data/io.cpp's "KB2DS"
-
-// Dataset header: magic + rows + cols + has_labels byte. Chunk i of a run
-// with C-point chunks starts at a deterministic offset, which is what makes
-// resume-by-seek possible.
-constexpr std::size_t kDatasetHeaderBytes = 8 + 8 + 8 + 1;
-
-struct BinaryHeader {
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  bool has_labels = false;
-};
-
-BinaryHeader read_header(std::ifstream& in, const std::string& path) {
-  std::uint64_t magic = 0;
-  BinaryHeader h;
-  std::uint8_t has_labels = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  KB2_CHECK_MSG(in.good() && magic == kMagic,
-                path << " is not a KB2 dataset file");
-  in.read(reinterpret_cast<char*>(&h.rows), sizeof(h.rows));
-  in.read(reinterpret_cast<char*>(&h.cols), sizeof(h.cols));
-  in.read(reinterpret_cast<char*>(&has_labels), sizeof(has_labels));
-  KB2_CHECK_MSG(in.good(), "truncated dataset header in " << path);
-  h.has_labels = has_labels != 0;
-  return h;
-}
-
-/// Invoke fn(points_chunk) over the file's rows, `chunk_points` at a time.
+/// The chunk loop of both passes: hand chunks [first, last) of
+/// `chunk_points` rows each to fn, in file order.
 template <typename Fn>
-std::size_t for_each_chunk(const std::string& path, std::size_t chunk_points,
-                           Fn&& fn) {
-  std::ifstream in(path, std::ios::binary);
-  KB2_CHECK_MSG(in.good(), "cannot open " << path);
-  const auto header = read_header(in, path);
-  KB2_CHECK_MSG(header.cols >= 1, "dataset has no columns");
-
-  std::size_t chunks = 0;
-  std::uint64_t remaining = header.rows;
-  while (remaining > 0) {
-    const auto take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remaining, chunk_points));
-    std::vector<double> flat(take * header.cols);
-    in.read(reinterpret_cast<char*>(flat.data()),
-            static_cast<std::streamsize>(flat.size() * sizeof(double)));
-    KB2_CHECK_MSG(in.good(), "truncated dataset body in " << path);
-    fn(Matrix(take, header.cols, std::move(flat)));
-    remaining -= take;
-    ++chunks;
+void for_each_chunk(data::BinaryDatasetReader& in, std::size_t chunk_points,
+                    std::uint64_t first, std::uint64_t last, Fn&& fn) {
+  for (std::uint64_t chunk = first; chunk < last; ++chunk) {
+    const std::uint64_t begin_row = chunk * chunk_points;
+    fn(in.read_points(begin_row,
+                      static_cast<std::size_t>(std::min<std::uint64_t>(
+                          in.rows() - begin_row, chunk_points))));
   }
-  return chunks;
 }
 
 /// Serialize the pass-1 resume record: chunk cursor + run geometry (for
@@ -78,7 +39,7 @@ void write_resume_record(const std::string& path, std::uint64_t chunks_done,
   w.write<std::uint64_t>(rows);
   w.write<std::uint64_t>(cols);
   engine.serialize(w);
-  write_checkpoint_file(path, w.bytes());
+  kCheckpointFile.write(path, w.bytes());
 }
 
 }  // namespace
@@ -98,19 +59,16 @@ OutOfCoreResult fit_from_file(runtime::Context& ctx,
                 "checkpoint cadence must be positive");
   auto ooc_scope = ctx.tracer().scope(stage::kOutOfCore);
 
-  // Peek the header for the schema.
-  BinaryHeader header;
-  {
-    std::ifstream in(input_path, std::ios::binary);
-    KB2_CHECK_MSG(in.good(), "cannot open " << input_path);
-    header = read_header(in, input_path);
-  }
-  KB2_CHECK_MSG(header.rows > 0, input_path << " holds no points");
+  // Pass 1 opens the input here: its header sizes the engine and checks a
+  // resumed checkpoint before the first chunk is read.
+  data::BinaryDatasetReader input(input_path);
+  const std::uint64_t rows = input.rows();
+  const std::size_t cols = input.cols();
+  KB2_CHECK_MSG(rows > 0, input_path << " holds no points");
 
-  const std::uint64_t total_chunks =
-      (header.rows + chunk_points - 1) / chunk_points;
+  const std::uint64_t total_chunks = (rows + chunk_points - 1) / chunk_points;
 
-  StreamingKeyBin2 engine(header.cols, params);
+  StreamingKeyBin2 engine(cols, params);
   std::uint64_t chunks_done = 0;
 
   // Resume: a checkpoint from an interrupted run restores the engine and the
@@ -129,11 +87,11 @@ OutOfCoreResult fit_from_file(runtime::Context& ctx,
                                   << " was taken with chunk_points="
                                   << saved_chunk_points << ", this run uses "
                                   << chunk_points);
-      KB2_CHECK_MSG(saved_rows == header.rows && saved_cols == header.cols,
+      KB2_CHECK_MSG(saved_rows == rows && saved_cols == cols,
                     "checkpoint " << checkpoint.path << " belongs to a "
                                   << saved_rows << "x" << saved_cols
                                   << " dataset, " << input_path << " is "
-                                  << header.rows << "x" << header.cols);
+                                  << rows << "x" << cols);
       KB2_CHECK_MSG(chunks_done <= total_chunks,
                     "checkpoint " << checkpoint.path << " cursor "
                                   << chunks_done << " exceeds " << total_chunks
@@ -163,52 +121,40 @@ OutOfCoreResult fit_from_file(runtime::Context& ctx,
                {"reason", why}});
   };
 
-  // Pass 1: histograms (and reservoir) only. With a resume cursor, seek the
-  // input straight to the saved chunk boundary — chunk layout is
-  // deterministic, so the restart point is a plain file offset.
+  // Pass 1: histograms (and reservoir) only, from the resume cursor (chunk
+  // layout is deterministic, so the restart point is a plain file offset)
+  // up to the chunk budget, if any.
   OutOfCoreResult result;
-  result.dims = header.cols;
+  result.dims = cols;
   result.chunks = static_cast<std::size_t>(total_chunks);
+  const std::uint64_t last_chunk =
+      checkpointing && checkpoint.max_chunks > 0
+          ? std::min<std::uint64_t>(total_chunks,
+                                    chunks_done + checkpoint.max_chunks)
+          : total_chunks;
   {
     auto pass1_scope = ctx.tracer().scope(stage::kPass1Histograms);
-    std::ifstream in(input_path, std::ios::binary);
-    KB2_CHECK_MSG(in.good(), "cannot open " << input_path);
-    in.seekg(static_cast<std::streamoff>(
-        kDatasetHeaderBytes +
-        chunks_done * chunk_points * header.cols * sizeof(double)));
-    KB2_CHECK_MSG(in.good(),
-                  "cannot seek to resume offset in " << input_path);
-
-    std::size_t ingested_this_run = 0;
-    while (chunks_done < total_chunks) {
-      if (checkpointing && checkpoint.max_chunks > 0 &&
-          ingested_this_run >= checkpoint.max_chunks) {
-        // Budget pause: persist the cursor and hand control back. The next
-        // call with the same arguments resumes exactly here, which is how
-        // the kill-and-resume tests model a mid-run death deterministically.
-        write_resume_record(checkpoint.path, chunks_done, chunk_points,
-                            header.rows, header.cols, engine);
-        record_checkpoint_write(chunks_done, "budget_pause");
-        result.points = engine.points_seen();
-        result.completed = false;
-        return result;
-      }
-      const std::uint64_t begin_row = chunks_done * chunk_points;
-      const auto take = static_cast<std::size_t>(
-          std::min<std::uint64_t>(header.rows - begin_row, chunk_points));
-      std::vector<double> flat(take * header.cols);
-      in.read(reinterpret_cast<char*>(flat.data()),
-              static_cast<std::streamsize>(flat.size() * sizeof(double)));
-      KB2_CHECK_MSG(in.good(), "truncated dataset body in " << input_path);
-      engine.push_batch(Matrix(take, header.cols, std::move(flat)));
-      ++chunks_done;
-      ++ingested_this_run;
-      if (checkpointing && chunks_done < total_chunks &&
-          chunks_done % checkpoint.every_chunks == 0) {
-        write_resume_record(checkpoint.path, chunks_done, chunk_points,
-                            header.rows, header.cols, engine);
-        record_checkpoint_write(chunks_done, "cadence");
-      }
+    for_each_chunk(input, chunk_points, chunks_done, last_chunk,
+                   [&](const Matrix& chunk) {
+                     engine.push_batch(chunk);
+                     ++chunks_done;
+                     if (checkpointing && chunks_done < total_chunks &&
+                         chunks_done % checkpoint.every_chunks == 0) {
+                       write_resume_record(checkpoint.path, chunks_done,
+                                           chunk_points, rows, cols, engine);
+                       record_checkpoint_write(chunks_done, "cadence");
+                     }
+                   });
+    if (chunks_done < total_chunks) {
+      // Budget pause: persist the cursor and hand control back. The next
+      // call with the same arguments resumes exactly here, which is how
+      // the kill-and-resume tests model a mid-run death deterministically.
+      write_resume_record(checkpoint.path, chunks_done, chunk_points, rows,
+                          cols, engine);
+      record_checkpoint_write(chunks_done, "budget_pause");
+      result.points = engine.points_seen();
+      result.completed = false;
+      return result;
     }
   }
   result.points = engine.points_seen();
@@ -216,13 +162,16 @@ OutOfCoreResult fit_from_file(runtime::Context& ctx,
 
   // Pass 2: label every point against the final model, streaming again.
   auto pass2_scope = ctx.tracer().scope(stage::kPass2Label);
+  data::BinaryDatasetReader relabel(input_path);
   std::ofstream out(labels_path, std::ios::binary);
   KB2_CHECK_MSG(out.good(), "cannot open " << labels_path << " for writing");
-  for_each_chunk(input_path, chunk_points, [&](const Matrix& chunk) {
-    const auto labels = result.model.predict(chunk);
-    out.write(reinterpret_cast<const char*>(labels.data()),
-              static_cast<std::streamsize>(labels.size() * sizeof(int)));
-  });
+  for_each_chunk(relabel, chunk_points, 0, total_chunks,
+                 [&](const Matrix& chunk) {
+                   const auto labels = result.model.predict(chunk);
+                   out.write(reinterpret_cast<const char*>(labels.data()),
+                             static_cast<std::streamsize>(labels.size() *
+                                                          sizeof(int)));
+                 });
   KB2_CHECK_MSG(out.good(), "write to " << labels_path << " failed");
   // The run finished; a stale checkpoint (or its demoted .prev generation)
   // would otherwise resurrect it.

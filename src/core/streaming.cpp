@@ -411,7 +411,7 @@ void StreamingKeyBin2::restore(ByteReader& r) {
 void StreamingKeyBin2::save_checkpoint(const std::string& path) const {
   ByteWriter w;
   serialize(w);
-  write_checkpoint_file(path, w.bytes());
+  kCheckpointFile.write(path, w.bytes());
 }
 
 StreamingKeyBin2 StreamingKeyBin2::resume_from(const std::string& path,

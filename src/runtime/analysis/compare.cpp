@@ -153,6 +153,25 @@ void compare_options_block(const JsonValue& base, const JsonValue& cur,
   }
 }
 
+/// A baseline timed on a machine with another core count gates nothing on
+/// this one, so the gate refuses it rather than compare. Reports without a
+/// machine block skip the check.
+void compare_machine(const JsonValue& base, const JsonValue& cur,
+                     Comparer& c) {
+  const double b = JsonValue::number_or(
+      base.find("machine", "hardware_concurrency"), -1.0);
+  const double v = JsonValue::number_or(
+      cur.find("machine", "hardware_concurrency"), -1.0);
+  if (b >= 0.0 && v >= 0.0 && b != v) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "machine mismatch: hardware_concurrency baseline=%g "
+                  "current=%g (re-record the baseline on this machine)",
+                  b, v);
+    c.error(buf);
+  }
+}
+
 /// Provenance drift is advisory only: reports produced by a different
 /// commit, compiler, or flag set are still comparable numbers, but the
 /// reader should know the code under test changed. Old baselines predate
@@ -184,6 +203,7 @@ void compare_provenance(const JsonValue& base, const JsonValue& cur,
 void compare_bench(const JsonValue& base, const JsonValue& cur,
                    const CompareOptions& opts, Comparer& c) {
   compare_options_block(base, cur, c);
+  compare_machine(base, cur, c);
   compare_provenance(base, cur, c);
 
   // Named scalar series.

@@ -18,9 +18,10 @@
 //     big enough to measure (min_stage_seconds) and only against a 2x-style
 //     relative threshold, because thread-simulated ranks on a shared CI box
 //     jitter hard.
-// Structural mismatches (different bench options, a metric present in the
-// baseline but missing now) are errors, not silently skipped: losing
-// coverage must fail the gate too.
+// Structural mismatches (different bench options, a baseline from a machine
+// with a different hardware_concurrency, a metric present in the baseline
+// but missing now) are errors, not silently skipped: losing coverage must
+// fail the gate too.
 //
 // scale_time exists for the gate's self-test: it multiplies current timing
 // values by a synthetic factor, so `--perf-gate` can prove the gate trips

@@ -2,33 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
-#include "common/crc32.hpp"
 #include "common/serialize.hpp"
 #include "common/timer.hpp"
 
 namespace keybin2::runtime::flight {
-
-namespace {
-
-// "KB2FLT01" little-endian.
-constexpr std::uint64_t kDumpMagic = 0x3130544c46324b42ull;
-constexpr std::uint32_t kDumpVersion = 1;
-constexpr std::size_t kDumpHeaderBytes = 8 + 4 + 8 + 4;
-
-[[noreturn]] void throw_defect(const std::string& path,
-                               const std::string& defect,
-                               const std::string& detail) {
-  std::ostringstream os;
-  os << "flight dump " << path << " " << detail;
-  throw FlightDumpError(os.str(), path, defect);
-}
-
-}  // namespace
 
 // ---- FlightWriter ----
 
@@ -163,73 +142,11 @@ void write_flight_dump(const std::string& path, const RankSegment& seg,
     payload.write<std::uint64_t>(records.size());
     for (const FlightRecord& rec : records) write_record(payload, rec);
   }
-
-  ByteWriter header;
-  header.write<std::uint64_t>(kDumpMagic);
-  header.write<std::uint32_t>(kDumpVersion);
-  header.write<std::uint64_t>(
-      static_cast<std::uint64_t>(payload.bytes().size()));
-  header.write<std::uint32_t>(crc32(payload.bytes()));
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    KB2_CHECK_MSG(out.is_open(),
-                  "cannot open flight dump " << tmp << " for writing");
-    out.write(reinterpret_cast<const char*>(header.bytes().data()),
-              static_cast<std::streamsize>(header.bytes().size()));
-    out.write(reinterpret_cast<const char*>(payload.bytes().data()),
-              static_cast<std::streamsize>(payload.bytes().size()));
-    out.flush();
-    KB2_CHECK_MSG(out.good(), "short write to flight dump " << tmp);
-  }
-  KB2_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "cannot move flight dump " << tmp << " into place at "
-                                           << path);
+  kFlightDumpFile.write(path, payload.bytes());
 }
 
 FlightDump read_flight_dump(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) throw_defect(path, "missing", "cannot be opened");
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  if (raw.size() < kDumpHeaderBytes) {
-    std::ostringstream os;
-    os << "truncated: " << raw.size() << " bytes, header alone needs "
-       << kDumpHeaderBytes;
-    throw_defect(path, "truncated", os.str());
-  }
-  ByteReader r(std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(raw.data()), raw.size()));
-  const auto magic = r.read<std::uint64_t>();
-  if (magic != kDumpMagic) {
-    throw_defect(path, "bad_magic", "has bad magic (not a KB2FLT file)");
-  }
-  const auto version = r.read<std::uint32_t>();
-  if (version != kDumpVersion) {
-    std::ostringstream os;
-    os << "has version " << version << ", this build reads version "
-       << kDumpVersion;
-    throw_defect(path, "version_skew", os.str());
-  }
-  const auto payload_size = r.read<std::uint64_t>();
-  if (payload_size != raw.size() - kDumpHeaderBytes) {
-    std::ostringstream os;
-    os << "truncated: header promises " << payload_size
-       << " payload bytes, file holds " << raw.size() - kDumpHeaderBytes;
-    throw_defect(path, "truncated", os.str());
-  }
-  const auto expected_crc = r.read<std::uint32_t>();
-  const std::span<const std::byte> payload(
-      reinterpret_cast<const std::byte*>(raw.data()) + kDumpHeaderBytes,
-      static_cast<std::size_t>(payload_size));
-  const auto actual_crc = crc32(payload);
-  if (actual_crc != expected_crc) {
-    std::ostringstream os;
-    os << "failed its CRC32 integrity check (stored " << expected_crc
-       << ", computed " << actual_crc << ")";
-    throw_defect(path, "crc_mismatch", os.str());
-  }
+  const auto payload = kFlightDumpFile.read(path);
 
   // CRC passed, so a decode failure below means a writer bug or a collision
   // — typed as "malformed" rather than crashing the reader.
@@ -241,8 +158,8 @@ FlightDump read_flight_dump(const std::string& path) {
     dump.dump_t_ns = p.read<std::int64_t>();
     const auto n = p.read<std::uint32_t>();
     if (n == 0 || n > 4096) {
-      throw_defect(path, "malformed",
-                   "declares " + std::to_string(n) + " ranks");
+      kFlightDumpFile.fail(path, "malformed",
+                           "declares " + std::to_string(n) + " ranks");
     }
     dump.ranks.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -255,10 +172,11 @@ FlightDump read_flight_dump(const std::string& path) {
       t.dead = p.read<std::uint8_t>() != 0;
       t.death_reason = p.read_string();
       const auto n_records = p.read<std::uint64_t>();
-      if (n_records > payload_size) {
-        throw_defect(path, "malformed",
-                     "declares " + std::to_string(n_records) +
-                         " records for rank " + std::to_string(t.rank));
+      if (n_records > payload.size()) {
+        kFlightDumpFile.fail(path, "malformed",
+                             "declares " + std::to_string(n_records) +
+                                 " records for rank " +
+                                 std::to_string(t.rank));
       }
       t.records.reserve(static_cast<std::size_t>(n_records));
       for (std::uint64_t j = 0; j < n_records; ++j) {
@@ -270,58 +188,9 @@ FlightDump read_flight_dump(const std::string& path) {
   } catch (const FlightDumpError&) {
     throw;
   } catch (const std::exception& e) {
-    throw_defect(path, "malformed",
-                 std::string("payload does not decode: ") + e.what());
+    kFlightDumpFile.fail(path, "malformed",
+                         std::string("payload does not decode: ") + e.what());
   }
-}
-
-void corrupt_flight_dump(const std::string& path, DumpCorruption mode,
-                         std::uint64_t seed) {
-  std::vector<char> raw;
-  {
-    std::ifstream in(path, std::ios::binary);
-    KB2_CHECK_MSG(in.is_open(),
-                  "cannot open flight dump " << path << " to corrupt");
-    raw.assign((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-  }
-  const std::size_t payload_bytes =
-      raw.size() > kDumpHeaderBytes ? raw.size() - kDumpHeaderBytes : 0;
-  switch (mode) {
-    case DumpCorruption::kTruncateHeader:
-      raw.resize(raw.size() < kDumpHeaderBytes ? raw.size() / 2
-                                               : kDumpHeaderBytes / 2);
-      break;
-    case DumpCorruption::kTruncatePayload:
-      KB2_CHECK_MSG(payload_bytes > 0,
-                    "flight dump " << path << " has no payload to truncate");
-      raw.resize(kDumpHeaderBytes + payload_bytes / 2);
-      break;
-    case DumpCorruption::kZeroSpan: {
-      KB2_CHECK_MSG(payload_bytes > 0,
-                    "flight dump " << path << " has no payload to zero");
-      const std::size_t at = kDumpHeaderBytes + seed % payload_bytes;
-      const std::size_t len = std::min<std::size_t>(16, raw.size() - at);
-      std::memset(raw.data() + at, 0, len);
-      break;
-    }
-    case DumpCorruption::kFlipBit: {
-      KB2_CHECK_MSG(payload_bytes > 0,
-                    "flight dump " << path << " has no payload to flip");
-      const std::size_t at = kDumpHeaderBytes + seed % payload_bytes;
-      raw[at] = static_cast<char>(raw[at] ^ (1 << (seed % 8)));
-      break;
-    }
-    case DumpCorruption::kBadMagic:
-      KB2_CHECK_MSG(raw.size() >= 8, "flight dump " << path << " too short");
-      std::memset(raw.data(), 0x5a, 8);
-      break;
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  KB2_CHECK_MSG(out.is_open(), "cannot rewrite flight dump " << path);
-  out.write(raw.data(), static_cast<std::streamsize>(raw.size()));
-  out.flush();
-  KB2_CHECK_MSG(out.good(), "short write while corrupting " << path);
 }
 
 }  // namespace keybin2::runtime::flight

@@ -18,10 +18,8 @@
 // concurrently drops torn or overwritten slots instead of blocking.
 //
 // On abnormal death the supervisor freezes all rings (the segment's frozen
-// flag, which every writer polls) and serializes them into a versioned,
-// CRC-checked dump file with the same container discipline as
-// core/checkpoint:
-//   [u64 magic][u32 version][u64 payload_size][u32 crc32][payload]
+// flag, which every writer polls) and serializes them into a dump file in
+// the same checked container as checkpoints (common/container.hpp).
 // kb2_postmortem reads the dump and reconstructs the cross-rank story.
 #pragma once
 
@@ -32,7 +30,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/error.hpp"
+#include "common/container.hpp"
 #include "runtime/segment.hpp"
 
 namespace keybin2::runtime::flight {
@@ -140,21 +138,15 @@ struct FlightDeath {
 };
 
 /// Typed defect in a dump file; `defect` is one of "missing", "truncated",
-/// "bad_magic", "version_skew", "crc_mismatch", "malformed", "io" — the
+/// "bad_magic", "version_skew", "crc_mismatch", "malformed" — the
 /// vocabulary kb2_postmortem reports instead of crashing.
-class FlightDumpError final : public Error {
- public:
-  FlightDumpError(const std::string& what, std::string path,
-                  std::string defect)
-      : Error(what), path_(std::move(path)), defect_(std::move(defect)) {}
+using FlightDumpError = ContainerError;
 
-  const std::string& path() const { return path_; }
-  const std::string& defect() const { return defect_; }
-
- private:
-  std::string path_;
-  std::string defect_;
-};
+/// Magic "KB2FLT01" as a u64 (the bytes on disk read "BK2FLT01"),
+/// version 1.
+inline constexpr ContainerFormat kFlightDumpFile{
+    0x3130544c46324b42ULL, 1, "flight dump", "KB2FLT",
+    /*keep_previous=*/false};
 
 /// Snapshot every ring (seqlock-validated, torn slots dropped) and write the
 /// CRC-checked dump. The caller freezes first if it wants a consistent
@@ -165,17 +157,5 @@ void write_flight_dump(const std::string& path, const RankSegment& seg,
 
 /// Read and verify a dump; throws FlightDumpError naming the defect.
 FlightDump read_flight_dump(const std::string& path);
-
-/// Deliberate damage for robustness tests, mirroring
-/// core::corrupt_checkpoint_file's five modes.
-enum class DumpCorruption {
-  kTruncateHeader,
-  kTruncatePayload,
-  kZeroSpan,
-  kFlipBit,
-  kBadMagic,
-};
-void corrupt_flight_dump(const std::string& path, DumpCorruption mode,
-                         std::uint64_t seed = 1);
 
 }  // namespace keybin2::runtime::flight

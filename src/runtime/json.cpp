@@ -317,10 +317,14 @@ struct JsonParser {
     return true;
   }
 
-  /// `into` == nullptr validates only.
-  bool value(JsonValue* into) {
+  /// `into` == nullptr validates only. `depth` counts the containers
+  /// around this value.
+  bool value(JsonValue* into, int depth = 0) {
     skip_ws();
     if (pos >= text.size()) return false;
+    if ((text[pos] == '{' || text[pos] == '[') && depth == kJsonMaxDepth) {
+      return false;
+    }
     switch (text[pos]) {
       case '{': {
         ++pos;
@@ -338,7 +342,7 @@ struct JsonParser {
             slot = &into->members_.emplace_back(std::move(key), JsonValue())
                         .second;
           }
-          if (!value(slot)) return false;
+          if (!value(slot, depth + 1)) return false;
           skip_ws();
           if (eat('}')) return true;
           if (!eat(',')) return false;
@@ -352,7 +356,7 @@ struct JsonParser {
         for (;;) {
           JsonValue* slot =
               into != nullptr ? &into->array_.emplace_back() : nullptr;
-          if (!value(slot)) return false;
+          if (!value(slot, depth + 1)) return false;
           skip_ws();
           if (eat(']')) return true;
           if (!eat(',')) return false;

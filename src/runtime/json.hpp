@@ -63,8 +63,14 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
+/// Deepest container nesting json_validate() and json_parse() accept: far
+/// above what bench reports, traces and analysis documents use, and low
+/// enough that a hostile file cannot exhaust the parser's stack.
+inline constexpr int kJsonMaxDepth = 256;
+
 /// True iff `text` is a single well-formed JSON value (object, array,
-/// string, number, bool, or null) with nothing but whitespace after it.
+/// string, number, bool, or null), nested at most kJsonMaxDepth deep, with
+/// nothing but whitespace after it.
 bool json_validate(std::string_view text);
 
 /// Parsed JSON document node. Numbers are held as double (every number this

@@ -389,6 +389,25 @@ TEST(JsonParse, RejectsMalformed) {
   EXPECT_FALSE(json_parse("[1, 2,]").has_value());
   EXPECT_FALSE(json_parse("").has_value());
   EXPECT_FALSE(json_parse("{} trailing").has_value());
+
+  // Nesting is bounded: a document at the bound parses, one level deeper
+  // and 100,000 levels are refused without exhausting the stack.
+  const auto nested = [](int levels, const char* open, const char* inner,
+                         const char* close) {
+    std::string text;
+    for (int i = 0; i < levels; ++i) text += open;
+    text += inner;
+    for (int i = 0; i < levels; ++i) text += close;
+    return text;
+  };
+  EXPECT_TRUE(json_parse(nested(kJsonMaxDepth, "[", "", "]")).has_value());
+  EXPECT_TRUE(json_validate(nested(kJsonMaxDepth, "{\"a\":", "1", "}")));
+  EXPECT_FALSE(
+      json_parse(nested(kJsonMaxDepth + 1, "[", "", "]")).has_value());
+  EXPECT_FALSE(json_validate(nested(kJsonMaxDepth + 1, "{\"a\":", "1", "}")));
+  const std::string deep(100000, '[');
+  EXPECT_FALSE(json_parse(deep).has_value());
+  EXPECT_FALSE(json_validate(deep));
 }
 
 TEST(JsonParse, DecodesEscapesIncludingSurrogatePairs) {
@@ -496,6 +515,22 @@ TEST(Compare, OptionMismatchIsAnError) {
   text.replace(pos, 9, "\"ranks\":8");
   const auto result = compare_reports(base, parse_or_die(text));
   EXPECT_FALSE(result.ok());
+}
+
+TEST(Compare, MachineMismatchIsAnError) {
+  const auto on = [](int cores) {
+    auto text = bench_doc(1.0, 0.05, 1000);
+    text.insert(1, "\"machine\":{\"hardware_concurrency\":" +
+                       std::to_string(cores) + "},");
+    return parse_or_die(text);
+  };
+  EXPECT_TRUE(compare_reports(on(4), on(4)).ok());
+  const auto result = compare_reports(on(1), on(4));
+  EXPECT_FALSE(result.ok());
+  EXPECT_NE(result.format().find("hardware_concurrency"), std::string::npos);
+  // A report without a machine block predates it: nothing to refuse.
+  EXPECT_TRUE(
+      compare_reports(parse_or_die(bench_doc(1.0, 0.05, 1000)), on(4)).ok());
 }
 
 TEST(Compare, AnalysisReportsCompareOnCriticalPath) {

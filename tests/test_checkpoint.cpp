@@ -10,13 +10,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
@@ -25,6 +28,8 @@
 #include "core/streaming.hpp"
 #include "data/gaussian_mixture.hpp"
 #include "data/io.hpp"
+#include "runtime/flight/flight.hpp"
+#include "runtime/segment.hpp"
 #include "test_util.hpp"
 
 namespace keybin2::core {
@@ -64,44 +69,44 @@ TEST_F(CheckpointFile, RoundTripPreservesPayload) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::byte>(i * 37 + 5);
   }
-  write_checkpoint_file(path_, payload);
-  EXPECT_EQ(read_checkpoint_file(path_), payload);
+  kCheckpointFile.write(path_, payload);
+  EXPECT_EQ(kCheckpointFile.read(path_), payload);
 }
 
 TEST_F(CheckpointFile, WriteIsAtomic) {
   // The temp file must not linger after a successful rename.
-  write_checkpoint_file(path_, std::vector<std::byte>(16, std::byte{9}));
+  kCheckpointFile.write(path_, std::vector<std::byte>(16, std::byte{9}));
   std::ifstream tmp(path_ + ".tmp", std::ios::binary);
   EXPECT_FALSE(tmp.is_open());
 }
 
 TEST_F(CheckpointFile, RejectsMissingFile) {
-  EXPECT_THROW(read_checkpoint_file("/tmp/kb2_no_such_ckpt.bin"), Error);
+  EXPECT_THROW(kCheckpointFile.read("/tmp/kb2_no_such_ckpt.bin"), Error);
 }
 
 TEST_F(CheckpointFile, RejectsTruncatedFile) {
-  write_checkpoint_file(path_, std::vector<std::byte>(256, std::byte{3}));
+  kCheckpointFile.write(path_, std::vector<std::byte>(256, std::byte{3}));
   auto raw = slurp(path_);
-  ASSERT_GT(raw.size(), kCheckpointHeaderBytes);
+  ASSERT_GT(raw.size(), kContainerHeaderBytes);
 
   // Lose the payload tail: header now promises more bytes than exist.
   auto cut = raw;
   cut.resize(raw.size() - 40);
   spit(path_, cut);
-  EXPECT_THROW(read_checkpoint_file(path_), Error);
+  EXPECT_THROW(kCheckpointFile.read(path_), Error);
 
   // Lose part of the header itself.
-  cut.resize(kCheckpointHeaderBytes / 2);
+  cut.resize(kContainerHeaderBytes / 2);
   spit(path_, cut);
-  EXPECT_THROW(read_checkpoint_file(path_), Error);
+  EXPECT_THROW(kCheckpointFile.read(path_), Error);
 }
 
 TEST_F(CheckpointFile, RejectsCorruptedPayload) {
-  write_checkpoint_file(path_, std::vector<std::byte>(256, std::byte{3}));
+  kCheckpointFile.write(path_, std::vector<std::byte>(256, std::byte{3}));
   auto raw = slurp(path_);
-  raw[kCheckpointHeaderBytes + 17] ^= 0x40;  // one flipped payload bit
+  raw[kContainerHeaderBytes + 17] ^= 0x40;  // one flipped payload bit
   spit(path_, raw);
-  EXPECT_THROW(read_checkpoint_file(path_), Error);
+  EXPECT_THROW(kCheckpointFile.read(path_), Error);
 }
 
 TEST_F(CheckpointFile, RejectsBadMagicAndVersion) {
@@ -109,14 +114,14 @@ TEST_F(CheckpointFile, RejectsBadMagicAndVersion) {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out << "this is nobody's checkpoint file, honest                  ";
   }
-  EXPECT_THROW(read_checkpoint_file(path_), Error);
+  EXPECT_THROW(kCheckpointFile.read(path_), Error);
 
   // Right magic, wrong version — a future format this build cannot read.
-  write_checkpoint_file(path_, std::vector<std::byte>(8, std::byte{1}));
+  kCheckpointFile.write(path_, std::vector<std::byte>(8, std::byte{1}));
   auto raw = slurp(path_);
   raw[8] = 99;  // version field follows the u64 magic
   spit(path_, raw);
-  EXPECT_THROW(read_checkpoint_file(path_), Error);
+  EXPECT_THROW(kCheckpointFile.read(path_), Error);
 }
 
 TEST_F(CheckpointFile, DefectsAreTypedAndAttributed) {
@@ -124,18 +129,18 @@ TEST_F(CheckpointFile, DefectsAreTypedAndAttributed) {
   // class — the recovery ladder and the chaos gate dispatch on these, so
   // the mapping from damage to defect string is contractual.
   const std::vector<std::byte> payload(256, std::byte{3});
-  const std::vector<std::pair<CheckpointCorruption, std::string>> cases = {
-      {CheckpointCorruption::kTruncateHeader, "truncated"},
-      {CheckpointCorruption::kTruncatePayload, "truncated"},
-      {CheckpointCorruption::kZeroSpan, "crc_mismatch"},
-      {CheckpointCorruption::kFlipBit, "crc_mismatch"},
-      {CheckpointCorruption::kBadMagic, "bad_magic"},
+  const std::vector<std::pair<ContainerCorruption, std::string>> cases = {
+      {ContainerCorruption::kTruncateHeader, "truncated"},
+      {ContainerCorruption::kTruncatePayload, "truncated"},
+      {ContainerCorruption::kZeroSpan, "crc_mismatch"},
+      {ContainerCorruption::kFlipBit, "crc_mismatch"},
+      {ContainerCorruption::kBadMagic, "bad_magic"},
   };
   for (const auto& [mode, defect] : cases) {
-    write_checkpoint_file(path_, payload);
-    corrupt_checkpoint_file(path_, mode, /*seed=*/7);
+    kCheckpointFile.write(path_, payload);
+    kCheckpointFile.corrupt(path_, mode, /*seed=*/7);
     try {
-      (void)read_checkpoint_file(path_);
+      (void)kCheckpointFile.read(path_);
       FAIL() << "corruption mode " << static_cast<int>(mode)
              << " went undetected";
     } catch (const CheckpointError& e) {
@@ -145,7 +150,7 @@ TEST_F(CheckpointFile, DefectsAreTypedAndAttributed) {
     }
   }
   try {
-    (void)read_checkpoint_file("/tmp/kb2_no_such_ckpt.bin");
+    (void)kCheckpointFile.read("/tmp/kb2_no_such_ckpt.bin");
     FAIL() << "missing file went undetected";
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.defect(), "missing");
@@ -155,19 +160,19 @@ TEST_F(CheckpointFile, DefectsAreTypedAndAttributed) {
 TEST_F(CheckpointFile, RewriteDemotesThePreviousGeneration) {
   const std::vector<std::byte> v1(64, std::byte{1});
   const std::vector<std::byte> v2(64, std::byte{2});
-  write_checkpoint_file(path_, v1);
-  write_checkpoint_file(path_, v2);
-  EXPECT_EQ(read_checkpoint_file(path_), v2);
-  EXPECT_EQ(read_checkpoint_file(path_ + ".prev"), v1);
+  kCheckpointFile.write(path_, v1);
+  kCheckpointFile.write(path_, v2);
+  EXPECT_EQ(kCheckpointFile.read(path_), v2);
+  EXPECT_EQ(kCheckpointFile.read(path_ + ".prev"), v1);
   std::remove((path_ + ".prev").c_str());
 }
 
 TEST_F(CheckpointFile, FallbackRestoresFromPrevWhenPrimaryIsCorrupt) {
   const std::vector<std::byte> v1(64, std::byte{1});
   const std::vector<std::byte> v2(64, std::byte{2});
-  write_checkpoint_file(path_, v1);
-  write_checkpoint_file(path_, v2);
-  corrupt_checkpoint_file(path_, CheckpointCorruption::kFlipBit, 3);
+  kCheckpointFile.write(path_, v1);
+  kCheckpointFile.write(path_, v2);
+  kCheckpointFile.corrupt(path_, ContainerCorruption::kFlipBit, 3);
 
   bool used_previous = false;
   EXPECT_EQ(read_checkpoint_file_or_previous(path_, &used_previous), v1);
@@ -175,7 +180,7 @@ TEST_F(CheckpointFile, FallbackRestoresFromPrevWhenPrimaryIsCorrupt) {
 
   // Both generations corrupt: the PRIMARY's typed error propagates (it
   // names the checkpoint the caller asked for, not the fallback).
-  corrupt_checkpoint_file(path_ + ".prev", CheckpointCorruption::kZeroSpan, 3);
+  kCheckpointFile.corrupt(path_ + ".prev", ContainerCorruption::kZeroSpan, 3);
   try {
     (void)read_checkpoint_file_or_previous(path_);
     FAIL() << "two corrupt generations must not restore";
@@ -184,6 +189,63 @@ TEST_F(CheckpointFile, FallbackRestoresFromPrevWhenPrimaryIsCorrupt) {
     EXPECT_EQ(e.defect(), "crc_mismatch");
   }
   std::remove((path_ + ".prev").c_str());
+}
+
+// Both formats share one container; these bytes are what older builds wrote
+// and read, so they may not move.
+TEST(Container, PinsCheckpointAndFlightDumpBytes) {
+  testutil::TempPaths tmp;
+  const std::string ckpt = tmp.make("kb2_pin_ckpt", ".bin");
+  const std::string dump = tmp.make("kb2_pin_dump", ".bin");
+
+  // "123456789" is the CRC-32 check string: its CRC is 0xcbf43926.
+  const std::string text = "123456789";
+  std::vector<std::byte> payload(text.size());
+  std::memcpy(payload.data(), text.data(), text.size());
+  kCheckpointFile.write(ckpt, payload);
+  const std::vector<char> want = {
+      0x42, 0x4b, 0x32, 0x43, 0x4b, 0x50, 0x54, 0x00,  // magic (u64 LE)
+      0x02, 0x00, 0x00, 0x00,                          // version 2
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload size
+      0x26, 0x39, static_cast<char>(0xf4),
+      static_cast<char>(0xcb),                         // crc32
+      '1',  '2',  '3',  '4',  '5',  '6',  '7',  '8',  '9'};
+  EXPECT_EQ(slurp(ckpt), want);
+
+  runtime::RankSegment seg(2, "pin", {}, 8);
+  runtime::flight::write_flight_dump(dump, seg, "pin", {});
+  const auto raw = slurp(dump);
+  ASSERT_GT(raw.size(), kContainerHeaderBytes);
+  const auto field = [&](std::size_t at, std::size_t bytes) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, raw.data() + at, bytes);
+    return v;
+  };
+  EXPECT_EQ(field(0, 8), 0x3130544c46324b42u);  // magic "KB2FLT01"
+  const std::span<const std::byte> dump_payload(
+      reinterpret_cast<const std::byte*>(raw.data()) + kContainerHeaderBytes,
+      raw.size() - kContainerHeaderBytes);
+  EXPECT_EQ(field(8, 4), 1u);  // version 1
+  EXPECT_EQ(field(12, 8), dump_payload.size());
+  EXPECT_EQ(field(20, 4), crc32(dump_payload));
+
+  // Each format's reader refuses the other's file by its magic.
+  try {
+    (void)kCheckpointFile.read(dump);
+    FAIL() << "a flight dump was read as a checkpoint";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.defect(), "bad_magic");
+    EXPECT_EQ(std::string(e.what()),
+              "checkpoint " + dump + " has bad magic (not a KB2CKPT file)");
+  }
+  try {
+    (void)runtime::flight::read_flight_dump(ckpt);
+    FAIL() << "a checkpoint was read as a flight dump";
+  } catch (const runtime::flight::FlightDumpError& e) {
+    EXPECT_EQ(e.defect(), "bad_magic");
+    EXPECT_EQ(std::string(e.what()),
+              "flight dump " + ckpt + " has bad magic (not a KB2FLT file)");
+  }
 }
 
 // ---- Streaming engine state capture ----
@@ -552,7 +614,7 @@ TEST(StreamingCheckpoint, RestoreRejectsTrailingGarbage) {
 
   testutil::TempPaths tmp;
   const std::string path = tmp.make("kb2_ckpt_trail", ".bin");
-  write_checkpoint_file(path, w.bytes());
+  kCheckpointFile.write(path, w.bytes());
   EXPECT_THROW(StreamingKeyBin2::resume_from(path), Error);
 }
 
@@ -650,7 +712,7 @@ TEST_F(OutOfCoreCheckpoint, ResumeFallsBackToPrevThenRejectsWhenBothCorrupt) {
   ASSERT_FALSE(fit_from_file(input_, labels_, {}, 512, opts).completed);
 
   auto raw = slurp(ckpt_);
-  ASSERT_GT(raw.size(), kCheckpointHeaderBytes + 8);
+  ASSERT_GT(raw.size(), kContainerHeaderBytes + 8);
   raw[raw.size() - 3] ^= 0x10;
   spit(ckpt_, raw);
   opts.max_chunks = 0;
@@ -662,8 +724,8 @@ TEST_F(OutOfCoreCheckpoint, ResumeFallsBackToPrevThenRejectsWhenBothCorrupt) {
   opts.max_chunks = 2;
   ASSERT_FALSE(fit_from_file(input_, labels_, {}, 512, opts).completed);
   opts.max_chunks = 0;
-  corrupt_checkpoint_file(ckpt_, CheckpointCorruption::kFlipBit, 5);
-  corrupt_checkpoint_file(ckpt_ + ".prev", CheckpointCorruption::kZeroSpan, 5);
+  kCheckpointFile.corrupt(ckpt_, ContainerCorruption::kFlipBit, 5);
+  kCheckpointFile.corrupt(ckpt_ + ".prev", ContainerCorruption::kZeroSpan, 5);
   try {
     (void)fit_from_file(input_, labels_, {}, 512, opts);
     FAIL() << "two corrupt generations must not resume";

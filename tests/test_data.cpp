@@ -12,6 +12,7 @@
 #include "data/io.hpp"
 #include "data/partition.hpp"
 #include "data/shapes.hpp"
+#include "test_util.hpp"
 
 namespace keybin2::data {
 namespace {
@@ -232,6 +233,56 @@ TEST(Io, WrongMagicRejected) {
   }
   EXPECT_THROW(read_binary(path), Error);
   std::remove(path.c_str());
+
+  // A header whose counts disagree with the file is refused before any
+  // allocation it would size.
+  testutil::TempPaths tmp;
+  for (const auto& bad : testutil::bad_dataset_files(tmp)) {
+    EXPECT_THROW(read_binary(bad), Error) << bad;
+  }
+}
+
+std::string write_text(testutil::TempPaths& tmp, const std::string& body) {
+  const std::string path = tmp.make("kb2_test_cells", ".csv");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  std::fwrite(body.data(), 1, body.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+TEST(Io, CsvCellsParseInFullOrThrow) {
+  testutil::TempPaths tmp;
+  // What std::stod / std::stoi read as a whole cell stays accepted,
+  // surrounding spaces and a CRLF line end included.
+  {
+    const auto d = read_csv(
+        write_text(tmp, "f0,f1,label\n 1.5 ,-2e1,  3 \n+4,inf,-7\n"));
+    EXPECT_TRUE(d.points == Matrix(2, 2, {1.5, -20.0, 4.0, INFINITY}));
+    EXPECT_EQ(d.labels, (std::vector<int>{3, -7}));
+    const auto crlf = read_csv(write_text(tmp, "f0,f1\r\n0.25,8\r\n"));
+    EXPECT_TRUE(crlf.points == Matrix(1, 2, {0.25, 8.0}));
+  }
+  // Anything else names the file, line and column.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"f0,f1,label\n1,2,0\n3,abc,1\n", ":3:2:"},
+      {"f0,f1,label\n1,2,0\n1.0x,4,1\n", ":3:1:"},
+      {"f0,f1,label\n1,2,1.9\n", ":2:3:"},
+      {"f0,f1,label\n1,2,x\n", ":2:3:"},
+      {"f0,f1,label\n1,,0\n", ":2:2:"},
+      {"f0,f1,label\n1,1e999,0\n", ":2:2:"},
+      {"f0,f1,label\n1,2,99999999999\n", ":2:3:"},
+      {"f0,f1\n1,2 3\n", ":2:2:"},
+  };
+  for (const auto& [body, where] : bad) {
+    const std::string path = write_text(tmp, body);
+    try {
+      (void)read_csv(path);
+      ADD_FAILURE() << "accepted: " << body;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path + where), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

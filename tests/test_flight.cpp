@@ -154,12 +154,12 @@ TEST(FlightDump, CorruptionYieldsTypedDefects) {
   const std::vector<std::string> kDefects = {
       "missing",      "truncated",    "bad_magic",
       "version_skew", "crc_mismatch", "malformed"};
-  const flight::DumpCorruption kModes[] = {
-      flight::DumpCorruption::kTruncateHeader,
-      flight::DumpCorruption::kTruncatePayload,
-      flight::DumpCorruption::kZeroSpan,
-      flight::DumpCorruption::kFlipBit,
-      flight::DumpCorruption::kBadMagic,
+  const ContainerCorruption kModes[] = {
+      ContainerCorruption::kTruncateHeader,
+      ContainerCorruption::kTruncatePayload,
+      ContainerCorruption::kZeroSpan,
+      ContainerCorruption::kFlipBit,
+      ContainerCorruption::kBadMagic,
   };
   for (const auto mode : kModes) {
     runtime::RankSegment seg(2, "corrupt", {}, 8);
@@ -170,7 +170,7 @@ TEST(FlightDump, CorruptionYieldsTypedDefects) {
     }
     const std::string path = temp_dump_path("corrupt");
     flight::write_flight_dump(path, seg, "corruption test", {});
-    flight::corrupt_flight_dump(path, mode, /*seed=*/17);
+    flight::kFlightDumpFile.corrupt(path, mode, /*seed=*/17);
     try {
       (void)flight::read_flight_dump(path);
       FAIL() << "corruption mode " << static_cast<int>(mode)

@@ -87,6 +87,11 @@ TEST(OutOfCore, MissingOrCorruptInputsThrow) {
     std::fclose(f);
   }
   EXPECT_THROW(fit_from_file(junk, "/tmp/out.bin"), Error);
+
+  const std::string labels = tmp.make("kb2_ooc_bad_labels", ".bin");
+  for (const auto& bad : testutil::bad_dataset_files(tmp)) {
+    EXPECT_THROW(fit_from_file(bad, labels), Error) << bad;
+  }
 }
 
 TEST(OutOfCore, ZeroChunkRejected) {

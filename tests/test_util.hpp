@@ -8,6 +8,7 @@
 // failing assertion can no longer leak temp files past the test.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -43,5 +44,39 @@ class TempPaths {
  private:
   std::vector<std::string> paths_;
 };
+
+/// KB2DS dataset files whose header disagrees with the file, one per defect
+/// every dataset reader must reject with a keybin2::Error: rows x cols that
+/// wraps to 0, a row count no file holds, zero columns, a truncated body,
+/// and one trailing byte. The paths are registered with `tmp`.
+inline std::vector<std::string> bad_dataset_files(TempPaths& tmp) {
+  struct Bad {
+    const char* stem;
+    std::uint64_t rows, cols;
+    std::uint8_t has_labels;
+    std::size_t body_bytes;
+  };
+  const Bad kBad[] = {
+      {"kb2_ds_wrapped", std::uint64_t{1} << 33, std::uint64_t{1} << 31, 0, 0},
+      {"kb2_ds_huge", std::uint64_t{1} << 60, 1, 0, 0},
+      {"kb2_ds_no_cols", 5, 0, 0, 0},
+      {"kb2_ds_short_body", 4, 2, 1, 4 * 2 * 8 + 4 * 4 - 1},
+      {"kb2_ds_trailing", 4, 2, 0, 4 * 2 * 8 + 1},
+  };
+  std::vector<std::string> paths;
+  for (const Bad& b : kBad) {
+    paths.push_back(tmp.make(b.stem, ".bin"));
+    std::FILE* f = std::fopen(paths.back().c_str(), "wb");
+    const std::uint64_t magic = 0x4b42324453ULL;  // "KB2DS"
+    std::fwrite(&magic, sizeof(magic), 1, f);
+    std::fwrite(&b.rows, sizeof(b.rows), 1, f);
+    std::fwrite(&b.cols, sizeof(b.cols), 1, f);
+    std::fwrite(&b.has_labels, sizeof(b.has_labels), 1, f);
+    const std::string body(b.body_bytes, '\0');
+    std::fwrite(body.data(), 1, body.size(), f);
+    std::fclose(f);
+  }
+  return paths;
+}
 
 }  // namespace keybin2::testutil

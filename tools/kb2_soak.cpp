@@ -106,8 +106,8 @@ struct Outcome {
 /// deviation, empty string when the story held.
 std::string run_checkpoint_leg(const comm::chaos::ChaosSchedule& sched,
                                std::size_t points, std::uint64_t seed) {
-  const auto mode = static_cast<core::CheckpointCorruption>(
-      sched.corrupt_checkpoint);
+  const auto mode =
+      static_cast<ContainerCorruption>(sched.corrupt_checkpoint);
   const std::string dir = [] {
     const char* t = std::getenv("TMPDIR");
     return std::string(t != nullptr ? t : "/tmp");
@@ -135,7 +135,7 @@ std::string run_checkpoint_leg(const comm::chaos::ChaosSchedule& sched,
   try {
     // One generation only, then damage it: restore MUST fail typed.
     engine.save_checkpoint(path);
-    core::corrupt_checkpoint_file(path, mode, seed);
+    core::kCheckpointFile.corrupt(path, mode, seed);
     bool threw_typed = false;
     try {
       (void)core::StreamingKeyBin2::resume_from(path, params);
@@ -149,7 +149,7 @@ std::string run_checkpoint_leg(const comm::chaos::ChaosSchedule& sched,
       // restore silently and reproduce the engine's model bytes.
       engine.save_checkpoint(path);
       engine.save_checkpoint(path);
-      core::corrupt_checkpoint_file(path, mode, seed);
+      core::kCheckpointFile.corrupt(path, mode, seed);
       auto restored = core::StreamingKeyBin2::resume_from(path, params);
       ByteWriter a, b;
       engine.serialize(a);
